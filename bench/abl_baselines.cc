@@ -77,9 +77,11 @@ int main() {
           anchors.push_back(localization::MakeAnchor(
               ap, frames, cfg.channel.bandwidth_hz, cfg.engine.pdp));
         }
-        auto sp = engine->LocateFromAnchors(anchors);
+        core::LocateRequest request;
+        request.anchors = anchors;
+        auto sp = engine->Locate(request);
         if (sp.ok())
-          errors.nomloc.push_back(Distance(sp->position, site));
+          errors.nomloc.push_back(Distance(sp->estimate.position, site));
         auto tri =
             localization::Trilaterate(anchors, *model, room_center);
         if (tri.ok()) {

@@ -47,8 +47,10 @@ common::Result<eval::RunResult> RunImpaired(
         }
         obs.push_back(std::move(o));
       }
-      NOMLOC_ASSIGN_OR_RETURN(auto est, engine.Locate(obs));
-      sr.trial_errors_m.push_back(Distance(est.position, site));
+      core::LocateRequest request;
+      request.observations = obs;
+      NOMLOC_ASSIGN_OR_RETURN(auto located, engine.Locate(request));
+      sr.trial_errors_m.push_back(Distance(located.estimate.position, site));
     }
     sr.mean_error_m = common::Mean(sr.trial_errors_m);
     result.sites.push_back(std::move(sr));

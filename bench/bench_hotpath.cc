@@ -312,9 +312,7 @@ int RunIncrementalBench(bool quick, bool json, const std::string& out_path) {
   };
 
   const std::size_t iterations = quick ? 64 : 512;
-  localization::SpSolverOptions batch_options;
-  localization::SpSolverOptions session_options;
-  session_options.session_mode = localization::SpSessionMode::kIncremental;
+  const localization::SpSolverOptions options;
 
   const auto delta_series = [&](const char* name, std::size_t flips,
                                 double radius) {
@@ -326,12 +324,11 @@ int RunIncrementalBench(bool quick, bool json, const std::string& out_path) {
     t.iterations = iterations;
     std::size_t i = 0;
     const auto cold = [&] {
-      (void)localization::SolveSp(parts, epochs[i++ % kEpochs],
-                                  batch_options);
+      (void)localization::SolveSp(parts, epochs[i++ % kEpochs], options);
     };
     cold();
     t.cold_ms = BestMs(repeats, iterations, cold);
-    localization::SpSolverSession session(parts, session_options);
+    localization::SpSolverSession session(parts, options);
     std::size_t j = 0;
     const auto warm = [&] {
       (void)session.ReplaceConstraints(epochs[j++ % kEpochs]);
@@ -387,8 +384,7 @@ int RunIncrementalBench(bool quick, bool json, const std::string& out_path) {
     };
     cold();
     t.cold_ms = BestMs(repeats, iterations, cold);
-    auto session = engine.MakeSolverSession(
-        localization::SpSessionMode::kIncremental);
+    auto session = engine.MakeSolverSession();
     std::size_t j = 0;
     const auto warm = [&] {
       core::LocateRequest request;

@@ -42,17 +42,20 @@ int main() {
   }
 
   // 3. Locate.
-  auto estimate = engine->Locate(observations);
-  if (!estimate.ok()) {
-    std::fprintf(stderr, "%s\n", estimate.status().ToString().c_str());
+  core::LocateRequest request;
+  request.observations = observations;
+  auto located = engine->Locate(request);
+  if (!located.ok()) {
+    std::fprintf(stderr, "%s\n", located.status().ToString().c_str());
     return 1;
   }
+  const core::LocationEstimate& estimate = located->estimate;
   std::printf("true position      : (%.2f, %.2f)\n", person.x, person.y);
-  std::printf("estimated position : (%.2f, %.2f)\n", estimate->position.x,
-              estimate->position.y);
+  std::printf("estimated position : (%.2f, %.2f)\n", estimate.position.x,
+              estimate.position.y);
   std::printf("error              : %.2f m\n",
-              Distance(estimate->position, person));
+              Distance(estimate.position, person));
   std::printf("constraints relaxed: %zu (cost %.4f)\n",
-              estimate->violated_constraints, estimate->relaxation_cost);
+              estimate.violated_constraints, estimate.relaxation_cost);
   return 0;
 }

@@ -30,6 +30,7 @@ constexpr std::string_view kCounterNames[] = {
     "cluster.failovers",
     "cluster.promoted_sessions",
     "cluster.repair.sessions",
+    "cluster.repair.skipped",
     "cluster.recoveries",
     "cluster.placement.stale_epoch",
     "cluster.write_retries",
@@ -142,7 +143,8 @@ std::string Cluster::ShardDurableDir(std::size_t shard) const {
 }
 
 common::Result<void> Cluster::AttachHost(std::size_t shard,
-                                         const std::string* dump) {
+                                         const std::string* dump,
+                                         const std::string* standby_dump) {
   NOMLOC_ASSIGN_OR_RETURN(LinkPair pair, ConnectLinkPair(config_.transport));
   ShardHostOptions options;
   options.clock_from_packets = config_.clock_from_packets;
@@ -154,14 +156,18 @@ common::Result<void> Cluster::AttachHost(std::size_t shard,
       std::unique_ptr<ShardHost> host,
       ShardHost::Create(engine_, config_.serving, std::move(pair.host_end),
                         std::move(options)));
-  if (dump != nullptr && !dump->empty()) {
+  const auto restore = [](const std::string* from,
+                          serving::SessionStore& into) -> common::Result<void> {
+    if (from == nullptr || from->empty()) return {};
     NOMLOC_ASSIGN_OR_RETURN(common::Json checkpoint,
-                            common::Json::Parse(*dump));
-    auto restored = host->Store().RestoreFromJson(checkpoint);
-    if (!restored.ok()) {
-      host->Stop();
-      return restored.status();
-    }
+                            common::Json::Parse(*from));
+    return into.RestoreFromJson(checkpoint).status();
+  };
+  auto restored = restore(dump, host->Store());
+  if (restored.ok()) restored = restore(standby_dump, host->StandbyStore());
+  if (!restored.ok()) {
+    host->Stop();
+    return restored;
   }
   Slot& slot = *slots_[shard];
   std::lock_guard<std::mutex> lock(slot.mutex);
@@ -472,6 +478,7 @@ void Cluster::BroadcastEpoch(std::uint64_t epoch) {
 void Cluster::AntiEntropyRepair() {
   static auto& promoted = Metric("cluster.promoted_sessions");
   static auto& repaired = Metric("cluster.repair.sessions");
+  static auto& skipped = Metric("cluster.repair.skipped");
 
   // Snapshot the live hosts.  The caller holds failover_mutex_ and the
   // cluster is flushed; Kill/Restart/Migrate must not run concurrently
@@ -503,28 +510,54 @@ void Cluster::AntiEntropyRepair() {
     }
     return kNoShard;
   };
-  // One session crosses stores as a filtered checkpoint: byte-exact
-  // anchors/observations/LKG, all-or-nothing on the receiving side.
-  const auto copy_session = [](serving::SessionStore& from,
-                               serving::SessionStore& to,
-                               std::uint64_t object_id) {
-    const common::Json dump = from.CheckpointJson(
-        [object_id](std::uint64_t id) { return id == object_id; });
-    return to.MergeFromJson(dump).ok();
+  // Sessions cross stores as one filtered checkpoint per (source,
+  // destination) pair: byte-exact anchors/observations/LKG.  One dump per
+  // pair (not per session) keeps a pass linear in the stores' sizes.
+  // Ingest keeps running during a repair (routers that find the failover
+  // latched reroute at once; a recovered owner is live before the
+  // hand-back), so an id can gain a live session on `to` after the
+  // caller's scan.  That live session supersedes the copy: the merge
+  // skips it per session instead of failing the whole batch, and the
+  // skip is counted.  `replace` erases `to`'s copies first — after the
+  // dump is taken, to keep that window short.  Returns the sessions
+  // copied.
+  const auto copy_sessions = [](serving::SessionStore& from,
+                                serving::SessionStore& to,
+                                std::vector<std::uint64_t>& ids,
+                                bool replace) {
+    std::sort(ids.begin(), ids.end());
+    std::size_t offered = 0;
+    const common::Json dump = from.CheckpointJson([&](std::uint64_t id) {
+      const bool hit = std::binary_search(ids.begin(), ids.end(), id);
+      offered += hit;
+      return hit;
+    });
+    if (replace)
+      for (std::uint64_t id : ids) to.Erase(id);
+    const auto merged = to.MergeMissingFromJson(dump);
+    const std::size_t copied = merged.ok() ? *merged : 0;
+    skipped.Increment(offered - copied);
+    return copied;
   };
+  // Per-destination id lists of one source store, reused across hosts.
+  std::vector<std::vector<std::uint64_t>> outgoing(hosts.size());
 
   // Pass 1: promote standby copies whose effective primary is this host.
   for (std::size_t h = 0; h < hosts.size(); ++h) {
     if (hosts[h] == nullptr) continue;
+    std::vector<std::uint64_t> owed, promote;
     for (std::uint64_t id : hosts[h]->StandbyStore().ObjectIds(nullptr)) {
       if (effective_primary(id) != h) continue;
+      owed.push_back(id);
       // A live primary session supersedes the standby copy (it formed
       // from traffic after this host already became the owner).
-      if (!hosts[h]->Store().Contains(id) &&
-          copy_session(hosts[h]->StandbyStore(), hosts[h]->Store(), id))
-        promoted.Increment();
-      hosts[h]->StandbyStore().Erase(id);
+      if (!hosts[h]->Store().Contains(id)) promote.push_back(id);
     }
+    if (!promote.empty())
+      promoted.Increment(copy_sessions(hosts[h]->StandbyStore(),
+                                       hosts[h]->Store(), promote,
+                                       /*replace=*/false));
+    for (std::uint64_t id : owed) hosts[h]->StandbyStore().Erase(id);
   }
   // Pass 2: hand sessions back to their effective primary.  The donor's
   // copy is authoritative — it kept absorbing writes while the owner was
@@ -532,13 +565,17 @@ void Cluster::AntiEntropyRepair() {
   // erased first.
   for (std::size_t h = 0; h < hosts.size(); ++h) {
     if (hosts[h] == nullptr) continue;
+    for (auto& ids : outgoing) ids.clear();
     for (std::uint64_t id : hosts[h]->Store().ObjectIds(nullptr)) {
       const std::size_t owner = effective_primary(id);
-      if (owner == h || owner == kNoShard) continue;
-      hosts[owner]->Store().Erase(id);
-      if (copy_session(hosts[h]->Store(), hosts[owner]->Store(), id))
-        repaired.Increment();
-      hosts[h]->Store().Erase(id);
+      if (owner != h && owner != kNoShard) outgoing[owner].push_back(id);
+    }
+    for (std::size_t owner = 0; owner < hosts.size(); ++owner) {
+      if (outgoing[owner].empty()) continue;
+      repaired.Increment(copy_sessions(hosts[h]->Store(),
+                                       hosts[owner]->Store(), outgoing[owner],
+                                       /*replace=*/true));
+      for (std::uint64_t id : outgoing[owner]) hosts[h]->Store().Erase(id);
     }
   }
   // Pass 3: drop standby copies sitting on the wrong host (stale after a
@@ -552,15 +589,19 @@ void Cluster::AntiEntropyRepair() {
   // next failure is covered too.
   for (std::size_t h = 0; h < hosts.size(); ++h) {
     if (hosts[h] == nullptr) continue;
+    for (auto& ids : outgoing) ids.clear();
     for (std::uint64_t id : hosts[h]->Store().ObjectIds(nullptr)) {
       if (effective_primary(id) != h) continue;
       const std::size_t standby = proper_standby(id);
-      if (standby == kNoShard ||
-          hosts[standby]->StandbyStore().Contains(id))
-        continue;
-      if (copy_session(hosts[h]->Store(), hosts[standby]->StandbyStore(), id))
-        repaired.Increment();
+      if (standby != kNoShard && !hosts[standby]->StandbyStore().Contains(id))
+        outgoing[standby].push_back(id);
     }
+    for (std::size_t standby = 0; standby < hosts.size(); ++standby)
+      if (!outgoing[standby].empty())
+        repaired.Increment(copy_sessions(hosts[h]->Store(),
+                                         hosts[standby]->StandbyStore(),
+                                         outgoing[standby],
+                                         /*replace=*/false));
   }
 }
 
@@ -668,13 +709,17 @@ common::Result<void> Cluster::Migrate(std::size_t shard) {
   // the swap the slot only has to hold new ingest off (AttachHost takes
   // the slot mutex for the flip itself).
   DetachHost(shard);
-  std::string dump;
+  std::string dump, standby_dump;
   {
     Slot& slot = *slots_[shard];
     std::lock_guard<std::mutex> lock(slot.mutex);
     dump = slot.checkpoint;
+    standby_dump = slot.standby_checkpoint;
   }
-  NOMLOC_RETURN_IF_ERROR(AttachHost(shard, &dump).status());
+  // The new host takes over the warm-standby copies too (Checkpoint took
+  // them in replicate mode): without them a crash of another shard right
+  // after the migration would promote nothing.
+  NOMLOC_RETURN_IF_ERROR(AttachHost(shard, &dump, &standby_dump).status());
   Metric("cluster.migrations").Increment();
   return {};
 }

@@ -214,8 +214,11 @@ class Cluster {
   Cluster(const core::NomLocEngine& engine, ClusterConfig config,
           const serving::Clock* clock, PlacementTable table);
 
-  /// Builds a connected host (+ its router-side reader) for `slot`.
-  common::Result<void> AttachHost(std::size_t shard, const std::string* dump);
+  /// Builds a connected host (+ its router-side reader) for `slot`,
+  /// restoring its primary store from `dump` and its standby store from
+  /// `standby_dump` when given.
+  common::Result<void> AttachHost(std::size_t shard, const std::string* dump,
+                                  const std::string* standby_dump = nullptr);
   void DetachHost(std::size_t shard);
   void ReaderLoop(std::size_t shard);
   /// Write under the slot mutex, stream header included on first use.

@@ -1,6 +1,7 @@
 #include "core/nomloc.h"
 
 #include <algorithm>
+#include <optional>
 #include <string>
 #include <thread>
 
@@ -23,8 +24,7 @@ common::Result<void> NomLocConfig::Validate() const {
     return common::InvalidArgument("solver.region_slack must be >= 0");
   if (solver.merge_tolerance < 0.0)
     return common::InvalidArgument("solver.merge_tolerance must be >= 0");
-  if (auto valid = fallback.Validate(); !valid.ok()) return valid;
-  return {};
+  return solver.fallback.Validate();
 }
 
 common::Result<NomLocEngine> NomLocEngine::Create(geometry::Polygon area,
@@ -34,17 +34,8 @@ common::Result<NomLocEngine> NomLocEngine::Create(geometry::Polygon area,
   return NomLocEngine(std::move(area), std::move(parts), std::move(config));
 }
 
-common::Result<LocateResponse> NomLocEngine::Locate(
-    const LocateRequest& request) const {
-  return Locate(request, nullptr);
-}
-
-localization::SpSolverSession NomLocEngine::MakeSolverSession(
-    std::optional<localization::SpSessionMode> mode) const {
-  localization::SpSolverOptions options = config_.solver;
-  options.fallback = config_.fallback;
-  if (mode) options.session_mode = *mode;
-  return localization::SpSolverSession(parts_, options);
+localization::SpSolverSession NomLocEngine::MakeSolverSession() const {
+  return localization::SpSolverSession(parts_, config_.solver);
 }
 
 common::Result<LocateResponse> NomLocEngine::Locate(
@@ -67,10 +58,9 @@ common::Result<LocateResponse> NomLocEngine::Locate(
   LocateResponse out;
 
   // Stage 1 — PDP extraction (skipped when the caller pre-extracted).
-  // Extraction is hardened: corrupt observations either fail the request
-  // with a typed kDataCorruption error or — under the default
-  // quarantine-and-continue policy — are dropped and counted, so one bad
-  // capture cannot poison the epoch's remaining links.
+  // Extraction is hardened: corrupt observations are dropped and counted
+  // (quarantine-and-continue), so one bad capture cannot poison the
+  // epoch's remaining links.
   std::vector<localization::Anchor> extracted;
   std::span<const localization::Anchor> anchors = request.anchors;
   if (anchors.empty()) {
@@ -85,8 +75,7 @@ common::Result<LocateResponse> NomLocEngine::Locate(
           obs.reported_position, obs.frames, config_.bandwidth_hz,
           config_.pdp, obs.is_nomadic_site);
       if (!anchor.ok()) {
-        if (!config_.quarantine_corrupt_observations ||
-            anchor.status().code() != common::StatusCode::kDataCorruption)
+        if (anchor.status().code() != common::StatusCode::kDataCorruption)
           return anchor.status();
         ++out.quarantined_observations;
         continue;
@@ -106,13 +95,10 @@ common::Result<LocateResponse> NomLocEngine::Locate(
       }
     if (any_corrupt) {
       for (const localization::Anchor& a : anchors) {
-        auto valid = localization::ValidateAnchor(a);
-        if (valid.ok()) {
+        if (localization::ValidateAnchor(a).ok()) {
           extracted.push_back(a);
-        } else if (config_.quarantine_corrupt_observations) {
-          ++out.quarantined_observations;
         } else {
-          return valid.status();
+          ++out.quarantined_observations;
         }
       }
       anchors = extracted;
@@ -130,8 +116,7 @@ common::Result<LocateResponse> NomLocEngine::Locate(
 
   // Stage 2 — pairwise proximity judgement + half-plane constraints.
   common::StageTrace judge_trace(judge_timer);
-  const auto judgements = localization::JudgeProximity(
-      anchors, request.pair_policy.value_or(config_.pair_policy));
+  const auto judgements = localization::JudgeProximity(anchors);
   const auto constraints =
       localization::ProximityConstraints(anchors, judgements);
   out.timings.judge_s = judge_trace.Stop();
@@ -145,24 +130,11 @@ common::Result<LocateResponse> NomLocEngine::Locate(
   // plain SolveSp).
   common::StageTrace solve_trace(solve_timer);
   auto resilient_result = [&]() -> common::Result<localization::ResilientSolution> {
-    if (session != nullptr) {
-      if (request.solver.has_value() || request.fallback.has_value())
-        return common::InvalidArgument(
-            "per-request solver/fallback overrides cannot apply to a "
-            "session — its options are fixed at MakeSolverSession time");
-      NOMLOC_RETURN_IF_ERROR(
-          session->ReplaceConstraints(constraints).status());
-      return localization::SolveSpResilient(*session, anchors);
-    }
-    // SpSolverOptions is the one options struct across batch, session,
-    // and resilient solving; the engine-level fallback policy (and any
-    // per-request override) folds into it here.
-    localization::SpSolverOptions solver_options =
-        request.solver ? *request.solver : config_.solver;
-    solver_options.fallback =
-        request.fallback ? *request.fallback : config_.fallback;
-    return localization::SolveSpResilient(parts_, anchors, constraints,
-                                          solver_options);
+    if (session == nullptr)
+      return localization::SolveSpResilient(parts_, anchors, constraints,
+                                            config_.solver);
+    NOMLOC_RETURN_IF_ERROR(session->ReplaceConstraints(constraints).status());
+    return localization::SolveSpResilient(*session, anchors);
   }();
   if (!resilient_result.ok()) return resilient_result.status();
   localization::ResilientSolution& resilient = resilient_result.value();

@@ -24,7 +24,6 @@
 //   auto responses = engine->LocateBatch(requests, /*threads=*/8);
 #pragma once
 
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -53,21 +52,11 @@ struct NomLocConfig {
   /// Bandwidth the CSI was captured at (sets CIR tap spacing).
   double bandwidth_hz = common::kBandwidth20MHz;
   dsp::PdpOptions pdp;
+  /// SP solve settings, including the degradation ladder
+  /// (`solver.fallback`, localization/fallback.h).  The default ladder
+  /// engages only on genuine solve failure, so healthy-input results stay
+  /// bit-identical to a plain SolveSp.
   localization::SpSolverOptions solver;
-  localization::PairPolicy pair_policy = localization::PairPolicy::kPaper;
-  /// Degradation ladder for the SP solve (localization/fallback.h).  The
-  /// default engages only on genuine solve failure, so healthy-input
-  /// results stay bit-identical to the pre-fallback engine.  At solve
-  /// time this is folded into `solver.fallback` (and wins over it) —
-  /// SpSolverOptions is the single options struct the solver layer sees.
-  localization::FallbackPolicy fallback;
-  /// Corrupt observations (NaN/Inf CSI, all-zero frames, non-finite
-  /// positions): quarantine-and-continue drops them (counted in
-  /// LocateResponse::quarantined_observations and the
-  /// `engine.quarantined_observations` counter) as long as >= 2 healthy
-  /// observations remain; off = the first corrupt observation fails the
-  /// whole request with its typed kDataCorruption error.
-  bool quarantine_corrupt_observations = true;
 
   /// Typed rejection of nonsense values (non-positive bandwidth, negative
   /// thresholds/weights).  Called by NomLocEngine::Create.
@@ -90,16 +79,12 @@ struct LocationEstimate {
   std::vector<localization::Anchor> anchors;
 };
 
-/// One localization epoch for the unified Locate entry point.  Provide
-/// EITHER raw per-AP observations (the engine extracts PDPs) OR
-/// pre-extracted anchors — setting both is an error.  The optional fields
-/// override the engine config for this call only.
+/// One localization epoch for Locate.  Provide EITHER raw per-AP
+/// observations (the engine extracts PDPs) OR pre-extracted anchors —
+/// setting both is an error.
 struct LocateRequest {
   std::span<const ApObservation> observations;
   std::span<const localization::Anchor> anchors;
-  std::optional<localization::PairPolicy> pair_policy;
-  std::optional<localization::SpSolverOptions> solver;
-  std::optional<localization::FallbackPolicy> fallback;
 };
 
 /// Wall-clock cost of each pipeline stage of one Locate call [s].
@@ -122,8 +107,11 @@ struct LocateResponse {
   /// (kNone on the healthy path; the engine itself never reports
   /// kLastKnownGood — that level needs state and lives in serving).
   common::DegradationLevel degradation = common::DegradationLevel::kNone;
-  /// Corrupt observations dropped before extraction (see
-  /// NomLocConfig::quarantine_corrupt_observations).
+  /// Corrupt observations (NaN/Inf CSI, all-zero frames, non-finite
+  /// positions) dropped before extraction; also counted by the
+  /// `engine.quarantined_observations` counter.  The request fails with
+  /// the typed kDataCorruption error only when fewer than two healthy
+  /// observations remain.
   std::size_t quarantined_observations = 0;
   /// Constraints the fallback chain discarded (level >= 1 only).
   std::size_t dropped_constraints = 0;
@@ -136,31 +124,23 @@ class NomLocEngine {
   static common::Result<NomLocEngine> Create(geometry::Polygon area,
                                              NomLocConfig config = {});
 
-  /// Unified entry point: runs the full pipeline on one request and
-  /// returns the estimate with per-stage timings and diagnostics.
-  /// Requires >= 2 observations (each with >= 1 frame) or >= 2 anchors.
-  common::Result<LocateResponse> Locate(const LocateRequest& request) const;
-
-  /// Streaming entry point: the same pipeline, but the SP solve runs
-  /// through a stateful solver session (MakeSolverSession) instead of from
-  /// scratch.  The request's derived constraints replace the session's
-  /// active set (ReplaceConstraints keeps unchanged ones on their warm
-  /// solver rows), then the degradation ladder runs over the session.
-  /// Per-request solver/fallback overrides are rejected here — a session's
-  /// options are fixed at construction.  `session` may be null, in which
-  /// case this is exactly Locate(request).
+  /// Runs the full pipeline on one request and returns the estimate with
+  /// per-stage timings and diagnostics.  Requires >= 2 observations (each
+  /// with >= 1 frame) or >= 2 anchors.
+  ///
+  /// With a `session` (MakeSolverSession) the SP solve runs through that
+  /// stateful solver instead of from scratch: the request's derived
+  /// constraints replace the session's active set (ReplaceConstraints
+  /// keeps unchanged ones on their warm solver rows), then the
+  /// degradation ladder runs over the session.
   common::Result<LocateResponse> Locate(
       const LocateRequest& request,
-      localization::SpSolverSession* session) const;
+      localization::SpSolverSession* session = nullptr) const;
 
   /// Builds a stateful solver session over this engine's convex parts,
-  /// configured from the engine config (solver options, with the
-  /// engine-level fallback policy folded in).  `mode` overrides
-  /// config.solver.session_mode: kColdEachSolve keeps every Solve()
-  /// bit-identical to the batch path, kIncremental enables the warm
-  /// fast-path/dual-simplex machinery (equivalent to solver tolerance).
-  localization::SpSolverSession MakeSolverSession(
-      std::optional<localization::SpSessionMode> mode = std::nullopt) const;
+  /// configured from `config.solver`.  Its warm fast-path / dual-simplex
+  /// machinery agrees with the stateless Locate to solver tolerance.
+  localization::SpSolverSession MakeSolverSession() const;
 
   /// Fans independent requests out over a common::ThreadPool.  The engine
   /// is const and the pipeline is RNG-free, so the responses are
@@ -170,16 +150,6 @@ class NomLocEngine {
   /// error a serial loop would hit first).
   common::Result<std::vector<LocateResponse>> LocateBatch(
       std::span<const LocateRequest> requests, std::size_t threads = 0) const;
-
-  /// Deprecated wrapper (pre-LocateRequest API): estimates the object
-  /// position from one epoch of raw observations.
-  common::Result<LocationEstimate> Locate(
-      std::span<const ApObservation> observations) const;
-
-  /// Deprecated wrapper (pre-LocateRequest API): lower-level entry point
-  /// when PDPs are already extracted.
-  common::Result<LocationEstimate> LocateFromAnchors(
-      std::span<const localization::Anchor> anchors) const;
 
   const geometry::Polygon& Area() const noexcept { return area_; }
   std::span<const geometry::Polygon> Parts() const noexcept { return parts_; }
@@ -196,21 +166,5 @@ class NomLocEngine {
   std::vector<geometry::Polygon> parts_;
   NomLocConfig config_;
 };
-
-inline common::Result<LocationEstimate> NomLocEngine::Locate(
-    std::span<const ApObservation> observations) const {
-  LocateRequest request;
-  request.observations = observations;
-  NOMLOC_ASSIGN_OR_RETURN(LocateResponse response, Locate(request));
-  return std::move(response.estimate);
-}
-
-inline common::Result<LocationEstimate> NomLocEngine::LocateFromAnchors(
-    std::span<const localization::Anchor> anchors) const {
-  LocateRequest request;
-  request.anchors = anchors;
-  NOMLOC_ASSIGN_OR_RETURN(LocateResponse response, Locate(request));
-  return std::move(response.estimate);
-}
 
 }  // namespace nomloc::core

@@ -144,7 +144,11 @@ common::Result<core::LocationEstimate> LocalizeEpoch(
     const core::NomLocEngine& engine, Vec2 object, common::Rng& rng) {
   NOMLOC_ASSIGN_OR_RETURN(auto anchors,
                           MeasureEpoch(scenario, config, object, rng));
-  return engine.LocateFromAnchors(anchors);
+  core::LocateRequest request;
+  request.anchors = anchors;
+  NOMLOC_ASSIGN_OR_RETURN(core::LocateResponse response,
+                          engine.Locate(request));
+  return std::move(response.estimate);
 }
 
 common::Result<RunResult> RunLocalization(const Scenario& scenario,

@@ -158,8 +158,7 @@ common::Result<ResilientSolution> RunLadder(
   auto full = level0();
   const bool full_ok =
       full.ok() && full.value().relaxation_cost <= policy.max_relaxation_cost;
-  if (full_ok || !policy.enable) {
-    if (!full.ok()) return full.status();
+  if (full_ok) {
     out.solution = std::move(full).value();
     out.level = common::DegradationLevel::kNone;
     return out;
@@ -232,15 +231,6 @@ common::Result<ResilientSolution> SolveSpResilient(
   return RunLadder(parts, anchors, proximity_constraints, options,
                    [&] { return SolveSp(parts, proximity_constraints,
                                         options); });
-}
-
-common::Result<ResilientSolution> SolveSpResilient(
-    std::span<const geometry::Polygon> parts, std::span<const Anchor> anchors,
-    std::span<const SpConstraint> proximity_constraints,
-    const SpSolverOptions& options, const FallbackPolicy& policy) {
-  SpSolverOptions merged = options;
-  merged.fallback = policy;
-  return SolveSpResilient(parts, anchors, proximity_constraints, merged);
 }
 
 common::Result<ResilientSolution> SolveSpResilient(

@@ -56,29 +56,17 @@ struct ResilientSolution {
 /// Runs SolveSp with the degradation ladder described above, configured by
 /// `options.fallback`.  `anchors` feeds the level-2 centroid (their PDPs
 /// are the weights) and may alias the anchors the constraints were built
-/// from.  Fails only when the policy is disabled and the full solve fails,
-/// or when even level 2 is impossible (no anchors and no parts).  Every
-/// engaged level increments `fallback.engaged{level=...}`; dropped
-/// constraints feed `fallback.dropped_constraints`.  The returned
-/// solution's lp_iterations also count the ladder's failed re-solve
-/// attempts, so degraded responses report their true LP work.
+/// from.  Fails only when the policy is invalid or even level 2 is
+/// impossible (no anchors and no parts).  Every engaged level increments
+/// `fallback.engaged{level=...}`; dropped constraints feed
+/// `fallback.dropped_constraints`.  The returned solution's lp_iterations
+/// also count the ladder's failed re-solve attempts, so degraded
+/// responses report their true LP work.
 common::Result<ResilientSolution> SolveSpResilient(
     std::span<const geometry::Polygon> parts,
     std::span<const Anchor> anchors,
     std::span<const SpConstraint> proximity_constraints,
     const SpSolverOptions& options = {});
-
-/// Compat overload taking the policy separately (pre-SpSolverOptions
-/// collapse).  Thin shim: copies `policy` onto `options.fallback` and
-/// delegates.
-[[deprecated(
-    "fold the policy into SpSolverOptions::fallback and call the "
-    "single-options overload")]]
-common::Result<ResilientSolution> SolveSpResilient(
-    std::span<const geometry::Polygon> parts,
-    std::span<const Anchor> anchors,
-    std::span<const SpConstraint> proximity_constraints,
-    const SpSolverOptions& options, const FallbackPolicy& policy);
 
 /// The same degradation ladder over a stateful session: level 0 is the
 /// session's (possibly incremental) Solve(); the retry levels re-solve

@@ -1,9 +1,8 @@
 // Internal shared core of the SP solve — the pieces both the one-shot
 // batch path (sp_solver.cc) and the stateful session path (sp_session.cc)
 // execute.  Keeping them in ONE place is what makes the equivalence
-// guarantees checkable: a session in kColdEachSolve mode runs literally
-// the same code as SolveSp, and the incremental mode shares every step
-// except how the LP optimum is obtained.
+// guarantee checkable: a session shares every step with SolveSp except
+// how the LP optimum is obtained.
 //
 // Not part of the public API; include localization/sp_solver.h or
 // localization/sp_session.h instead.
@@ -25,13 +24,9 @@ namespace nomloc::localization::detail {
 inline constexpr double kViolationTolerance = 1e-7;
 
 /// Builds and solves the relaxation LP (Eq. 19) over already-normalized
-/// constraints.  Variables: [zx, zy, t_0 .. t_{N-1}].  `ipm_warm_start`
-/// opts the interior-point backend into workspace-carried warm starts
-/// (sessions only — it changes iterate trajectories, so the batch path
-/// leaves it off to stay bit-identical).
+/// constraints with the simplex.  Variables: [zx, zy, t_0 .. t_{N-1}].
 common::Result<lp::LpSolution> SolveRelaxation(
-    std::span<const SpConstraint> constraints, LpBackend backend,
-    lp::SolveWorkspace* ws, bool ipm_warm_start = false);
+    std::span<const SpConstraint> constraints, lp::SolveWorkspace* ws);
 
 /// Extracts the center of the relaxed region according to `options`,
 /// falling back to `lp_point` when the region is degenerate.
@@ -55,14 +50,12 @@ common::Result<SpPartSolution> ReconstructPart(
     double objective, std::size_t iterations, geometry::Vec2 lp_point,
     const SpSolverOptions& options);
 
-/// SolveSpPart without the deprecation tag on the workspace parameter —
-/// the internal entry point SolveSp and the session layer call.
-/// `ipm_warm_start` is forwarded to SolveRelaxation (sessions only).
+/// SolveSpPart with caller-provided LP scratch (null = allocate per
+/// call) — the internal entry point SolveSp and the session layer call.
 common::Result<SpPartSolution> SolveSpPartImpl(
     const geometry::Polygon& part,
     std::span<const SpConstraint> proximity_constraints,
-    const SpSolverOptions& options, lp::SolveWorkspace* ws,
-    bool ipm_warm_start = false);
+    const SpSolverOptions& options, lp::SolveWorkspace* ws);
 
 /// Best-part selection and tied-cost merge (§IV-B2) over per-part
 /// solutions: fills estimate / relaxation_cost / best_part /

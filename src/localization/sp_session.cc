@@ -216,7 +216,6 @@ void SpSolverSession::Clear() {
     ps.lp_adds_synced = 0;
     ps.lp_decays_synced = 0;
     ps.row_of_id.clear();
-    ps.ws.has_warm_start = false;
   }
   dirty_ = true;
 }
@@ -314,8 +313,7 @@ common::Result<SpPartSolution> SpSolverSession::SolvePartIncremental(
     // feed the delta straight to the warm solver instead.  (ReconstructPart
     // reproduces the batch result for feasible sets too — all t stay 0 — so
     // skipping the probe never changes the answer, only who computes it.)
-    if (ps.lp_ready && options_.lp_backend != LpBackend::kInteriorPoint)
-      return SolvePartLp(part_idx);
+    if (ps.lp_ready) return SolvePartLp(part_idx);
     RebuildGeometry(ps, part);
   } else {
     AdvanceGeometry(ps);
@@ -350,16 +348,6 @@ common::Result<SpPartSolution> SpSolverSession::SolvePartLp(
     std::size_t part_idx) {
   PartState& ps = part_states_[part_idx];
   const Polygon& part = parts_[part_idx];
-
-  if (options_.lp_backend == LpBackend::kInteriorPoint) {
-    // Interior-point deltas are a warm start from the previous optimum,
-    // carried in the part's workspace.
-    const bool warm = ps.ws.has_warm_start;
-    (warm ? WarmHits() : ColdSolves()).Increment();
-    return detail::SolveSpPartImpl(part, ActiveConstraints(), options_,
-                                   &ps.ws, /*ipm_warm_start=*/true);
-  }
-
   const std::size_t nb = ps.boundary.size();
   using Term = lp::RelaxationSolver::Term;
   const auto term_of = [](const SpConstraint& sc) {
@@ -441,8 +429,7 @@ common::Result<SpPartSolution> SpSolverSession::SolvePartLp(
     ps.lp_ready = false;
     LpFallbacks().Increment();
     ColdSolves().Increment();
-    return detail::SolveSpPartImpl(part, ActiveConstraints(), options_,
-                                   &ps.ws);
+    return SolveSpPart(part, ActiveConstraints(), options_);
   }
 
   // Reconstruct exactly like the batch path, from the warm optimum.
@@ -473,15 +460,6 @@ common::Result<SpSolution> SpSolverSession::Solve() {
   // forced cold rebuild after each compaction stays rare.
   if (constraints_.size() > 2 * active_count_ + kCompactionSlack)
     CompactSlots();
-
-  if (options_.session_mode == SpSessionMode::kColdEachSolve) {
-    // Bit-identical by construction: the active set goes through the very
-    // same SolveSp the batch engine runs.
-    ColdSolves().Increment(parts_.size());
-    cached_ = SolveSp(parts_, ActiveConstraints(), options_);
-    dirty_ = false;
-    return cached_;
-  }
 
   auto& registry = common::MetricRegistry::Global();
   static auto& solve_timer = registry.Timer("sp.solve");

@@ -15,14 +15,11 @@
 //     keeps a lp::RelaxationSolver alive: added rows enter with their
 //     slack basic and are re-optimized from the previous basis, retired
 //     rows are deactivated by a rhs push.  (solver.warm_hits)
-//   * Interior-point warm starts — with LpBackend::kInteriorPoint the
-//     session re-solves from the previous optimum via the workspace-
-//     carried warm iterate instead.
 //
-// Equivalence contract (enforced by the equivalence suite): in
-// SpSessionMode::kColdEachSolve every Solve() is BIT-IDENTICAL to calling
-// SolveSp on the active constraint set; in kIncremental the estimate
-// agrees to solver tolerance.
+// Equivalence contract (enforced by the equivalence suite): every Solve()
+// agrees with SolveSp on the active constraint set to solver tolerance.
+// Callers that need bit-identity with the batch engine solve statelessly
+// instead (ServingConfig::solver_mode = kColdEachSolve).
 //
 // Not thread-safe — one session per object, accessed from one thread at a
 // time (the serving layer's per-object FIFO guarantees this).
@@ -37,7 +34,6 @@
 #include "localization/constraints.h"
 #include "localization/sp_solver.h"
 #include "lp/incremental.h"
-#include "lp/workspace.h"
 
 namespace nomloc::localization {
 
@@ -77,9 +73,8 @@ class SpSolverSession {
   /// and options survive.  Ids restart from 0.
   void Clear();
 
-  /// Estimate over the current active set.  kColdEachSolve: bit-identical
-  /// to SolveSp(parts, active, options).  kIncremental: fast path / warm
-  /// LP as described above.  Requires >= 1 active constraint.
+  /// Estimate over the current active set, through the fast path or the
+  /// warm LP described above.  Requires >= 1 active constraint.
   common::Result<SpSolution> Solve();
 
   std::span<const geometry::Polygon> parts() const noexcept { return parts_; }
@@ -105,16 +100,13 @@ class SpSolverSession {
     bool geo_feasible = false;
     std::size_t geo_synced = 0;  ///< Prox ids folded into the loops.
 
-    // Warm LP state (simplex backend): rows are [boundary..., prox...];
-    // row_of_id maps a constraint slot to its RelaxationSolver row.
+    // Warm LP state: rows are [boundary..., prox...]; row_of_id maps a
+    // constraint slot to its RelaxationSolver row.
     lp::RelaxationSolver lp;
     std::vector<std::size_t> row_of_id;
     std::size_t lp_adds_synced = 0;    ///< Prox slots appended to `lp`.
     std::size_t lp_decays_synced = 0;  ///< Prefix of decay_log_ applied.
     bool lp_ready = false;
-
-    // Interior-point backend: warm iterate lives in the workspace.
-    lp::SolveWorkspace ws;
   };
 
   common::Result<SpPartSolution> SolvePartIncremental(std::size_t part_idx);

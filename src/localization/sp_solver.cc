@@ -8,7 +8,6 @@
 #include "geometry/halfplane.h"
 #include "localization/sp_detail.h"
 #include "lp/center.h"
-#include "lp/interior_point.h"
 #include "lp/simplex.h"
 #include "lp/workspace.h"
 
@@ -21,8 +20,7 @@ using geometry::Vec2;
 namespace detail {
 
 common::Result<lp::LpSolution> SolveRelaxation(
-    std::span<const SpConstraint> constraints, LpBackend backend,
-    lp::SolveWorkspace* ws, bool ipm_warm_start) {
+    std::span<const SpConstraint> constraints, lp::SolveWorkspace* ws) {
   const std::size_t n = constraints.size();
   NOMLOC_REQUIRE(n > 0);
   lp::InequalityLp prog;
@@ -38,17 +36,6 @@ common::Result<lp::LpSolution> SolveRelaxation(
     prog.a(i, 2 + i) = -1.0;  // ... - t_i <= b_i.
     prog.b[i] = sc.half_plane.c;
     prog.c[2 + i] = sc.weight;
-  }
-  if (backend == LpBackend::kInteriorPoint) {
-    lp::InteriorPointOptions ipm_options;
-    ipm_options.warm_start = ipm_warm_start;
-    NOMLOC_ASSIGN_OR_RETURN(auto ipm,
-                            lp::SolveInteriorPoint(prog, ipm_options, ws));
-    lp::LpSolution out;
-    out.x = std::move(ipm.x);
-    out.objective = ipm.objective;
-    out.iterations = ipm.iterations;
-    return out;
   }
   return lp::SolveSimplex(prog, {}, ws);
 }
@@ -147,8 +134,7 @@ common::Result<SpPartSolution> ReconstructPart(
 
 common::Result<SpPartSolution> SolveSpPartImpl(
     const Polygon& part, std::span<const SpConstraint> proximity_constraints,
-    const SpSolverOptions& options, lp::SolveWorkspace* ws,
-    bool ipm_warm_start) {
+    const SpSolverOptions& options, lp::SolveWorkspace* ws) {
   if (!part.IsConvex())
     return common::InvalidArgument("SolveSpPart needs a convex part");
   if (proximity_constraints.empty())
@@ -167,9 +153,7 @@ common::Result<SpPartSolution> SolveSpPartImpl(
   all.insert(all.end(), boundary.begin(), boundary.end());
   for (SpConstraint& sc : all) sc.half_plane = sc.half_plane.Normalized();
 
-  NOMLOC_ASSIGN_OR_RETURN(
-      lp::LpSolution lp_sol,
-      SolveRelaxation(all, options.lp_backend, ws, ipm_warm_start));
+  NOMLOC_ASSIGN_OR_RETURN(lp::LpSolution lp_sol, SolveRelaxation(all, ws));
 
   const Vec2 lp_point{lp_sol.x[0], lp_sol.x[1]};
   std::vector<double> t(all.size());
@@ -232,12 +216,6 @@ common::Result<SpPartSolution> SolveSpPart(
     const SpSolverOptions& options) {
   return detail::SolveSpPartImpl(part, proximity_constraints, options,
                                  nullptr);
-}
-
-common::Result<SpPartSolution> SolveSpPart(
-    const Polygon& part, std::span<const SpConstraint> proximity_constraints,
-    const SpSolverOptions& options, lp::SolveWorkspace* ws) {
-  return detail::SolveSpPartImpl(part, proximity_constraints, options, ws);
 }
 
 common::Result<SpSolution> SolveSp(

@@ -8,7 +8,9 @@
 // with the two-phase simplex, reconstructs the (relaxed) feasible region
 // by clipping the area polygon, and reports its center.  Non-convex areas
 // are handled part-by-part; the parts with the lowest relaxation cost are
-// merged (§IV-B2).
+// merged (§IV-B2).  The paper solved Eq. 19 with CVX's interior-point
+// method; lp::SolveInteriorPoint stays as the test oracle the simplex is
+// cross-checked against, but every solve here runs the simplex.
 //
 // Two ways to drive it:
 //   * One-shot: SolveSp / SolveSpPart below — stateless, solves the full
@@ -28,10 +30,6 @@
 #include "geometry/polygon.h"
 #include "localization/constraints.h"
 
-namespace nomloc::lp {
-struct SolveWorkspace;  // lp/workspace.h
-}
-
 namespace nomloc::localization {
 
 /// How the point estimate is extracted from the feasible region.  The
@@ -40,21 +38,17 @@ namespace nomloc::localization {
 /// deepest point.  bench/abl_center_method compares them.
 enum class CenterMethod { kCentroid, kChebyshev, kAnalytic };
 
-/// Which LP solver runs the relaxation program (Eq. 19).  The paper used
-/// CVX's interior-point method; the two backends agree to solver
-/// tolerance and are cross-validated in the tests.
-enum class LpBackend { kSimplex, kInteriorPoint };
-
-/// How an SpSolverSession (localization/sp_session.h) turns constraint
-/// deltas into estimates.  Batch SolveSp/SolveSpPart ignore this field.
+/// How a stateful solver is driven.  Only the serving layer chooses
+/// (ServingConfig::solver_mode); an SpSolverSession itself is always
+/// incremental.
 enum class SpSessionMode {
-  /// Every Solve() rebuilds the full program from scratch — bit-identical
-  /// to calling SolveSp on the active constraint set.  The safe default.
+  /// No session: every solve is the stateless SolveSp, bit-identical to
+  /// the batch engine.
   kColdEachSolve,
-  /// Reuse state between solves: geometric fast path while the region
-  /// stays feasible, dual-simplex basis reuse / interior-point warm
-  /// starts otherwise.  Estimates agree with kColdEachSolve to solver
-  /// tolerance (see the equivalence suite), not bit-for-bit.
+  /// Keep one SpSolverSession per object: geometric fast path while the
+  /// region stays feasible, dual-simplex basis reuse otherwise.
+  /// Estimates agree with kColdEachSolve to solver tolerance (see the
+  /// equivalence suite), not bit-for-bit.
   kIncremental,
 };
 
@@ -63,9 +57,6 @@ enum class SpSessionMode {
 /// SpSolverOptions can carry it — the batch, session, and resilient paths
 /// all read the same struct.
 struct FallbackPolicy {
-  /// Master switch.  Off = SolveSpResilient is exactly SolveSp (errors
-  /// propagate as errors).
-  bool enable = true;
   /// A successful solve whose relaxation cost exceeds this budget counts
   /// as failed and triggers the ladder.  The default (infinity) only
   /// engages the chain on genuine solve errors, which keeps the golden
@@ -81,7 +72,6 @@ struct FallbackPolicy {
 
 struct SpSolverOptions {
   CenterMethod center = CenterMethod::kCentroid;
-  LpBackend lp_backend = LpBackend::kSimplex;
   /// Weight for boundary (virtual-AP) constraints — "preset to a large
   /// weight to guarantee the corresponding constraint satisfied with high
   /// priority" (§IV-B4).
@@ -91,11 +81,9 @@ struct SpSolverOptions {
   double region_slack = 1e-6;
   /// Two part costs within this tolerance count as tied and are merged.
   double merge_tolerance = 1e-7;
-  /// Session solve strategy (sessions only; batch solves ignore it).
-  SpSessionMode session_mode = SpSessionMode::kColdEachSolve;
-  /// Incremental sessions skip the LP entirely while the exact feasible
-  /// region keeps at least this much area [m^2] — below it the region is
-  /// treated as empty and the relaxation LP decides what to sacrifice.
+  /// Sessions skip the LP entirely while the exact feasible region keeps
+  /// at least this much area [m^2] — below it the region is treated as
+  /// empty and the relaxation LP decides what to sacrifice.
   double fastpath_min_area = 1e-6;
   /// Degradation ladder shared by SolveSpResilient and resilient session
   /// solves.  Plain SolveSp ignores it.
@@ -120,19 +108,6 @@ common::Result<SpPartSolution> SolveSpPart(
     const geometry::Polygon& part,
     std::span<const SpConstraint> proximity_constraints,
     const SpSolverOptions& options = {});
-
-/// Compat overload with caller-provided LP scratch.  Deprecated: the
-/// workspace is an implementation detail the stateful session API now
-/// owns — construct an SpSolverSession (localization/sp_session.h) for
-/// repeated solves, or call the overload above for one-shots (scratch is
-/// managed internally either way).
-[[deprecated(
-    "pass scratch via an SpSolverSession instead of a raw SolveWorkspace*; "
-    "see localization/sp_session.h")]]
-common::Result<SpPartSolution> SolveSpPart(
-    const geometry::Polygon& part,
-    std::span<const SpConstraint> proximity_constraints,
-    const SpSolverOptions& options, lp::SolveWorkspace* ws);
 
 /// Combined result over all parts of a (possibly non-convex) area.
 struct SpSolution {

@@ -51,19 +51,9 @@ common::Result<InteriorPointSolution> SolveInteriorPoint(
     }
   }
 
-  // Infeasible start: x = 0 (or the retained warm point), s/y positive.
+  // Infeasible start: x = 0, s/y positive.
   Vector& x = scratch.ipm_x;
   x.assign(n, 0.0);
-  const bool warm = options.warm_start && ws != nullptr &&
-                    scratch.has_warm_start && !scratch.warm_x.empty();
-  if (warm) {
-    const std::size_t k = std::min(n, scratch.warm_x.size());
-    for (std::size_t j = 0; j < k; ++j)
-      if (std::isfinite(scratch.warm_x[j])) x[j] = scratch.warm_x[j];
-    static auto& warm_hits =
-        common::MetricRegistry::Global().Counter("lp.ipm.warm_starts");
-    warm_hits.Increment();
-  }
   Vector& s = scratch.ipm_s;
   s.assign(m, 0.0);
   Vector& y = scratch.ipm_y;
@@ -103,10 +93,6 @@ common::Result<InteriorPointSolution> SolveInteriorPoint(
           "lp.iterations", "backend=ipm", 1.0, 1e5, 60);
       solves.Increment();
       iter_hist.Record(double(iter));
-      if (options.warm_start && ws != nullptr) {
-        ws->warm_x = x;
-        ws->has_warm_start = true;
-      }
       return out;
     }
 

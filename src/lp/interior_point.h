@@ -28,13 +28,6 @@ struct InteriorPointOptions {
   double sigma = 0.1;
   /// Fraction of the max step to the boundary taken each iteration.
   double step_fraction = 0.95;
-  /// Opt-in warm start: seed the primal iterate from the workspace's
-  /// retained `warm_x` (prefix-matched when the variable count changed)
-  /// and store the converged point back.  Requires a workspace; default
-  /// off keeps plain solves bit-identical.  Slacks/duals are re-derived,
-  /// so a stale start degrades to extra iterations, never to a wrong
-  /// answer.
-  bool warm_start = false;
 };
 
 struct InteriorPointSolution {

@@ -41,16 +41,6 @@ struct SolveWorkspace {
   Matrix normal;
   Vector fold_b, ipm_x, ipm_s, ipm_y;
   Vector ax, rp, rd, w, rhs, dx, adx, dy, ds;
-
-  // SolveInteriorPoint warm start.  Unlike the scratch above, this is
-  // *state*, not scratch: the converged primal point of the last solve,
-  // kept across calls.  Only consulted when
-  // InteriorPointOptions::warm_start is set (default off, so plain solves
-  // stay bit-identical); session solvers opt in because consecutive SP
-  // programs differ by a few constraints and the old optimum is an
-  // excellent start.
-  Vector warm_x;
-  bool has_warm_start = false;
 };
 
 }  // namespace nomloc::lp

@@ -134,9 +134,12 @@ common::Result<ReplayResult> ReplayTrace(const MeasurementTrace& trace,
   ReplayResult result;
   result.errors_m.reserve(trace.epochs.size());
   for (const EpochRecord& epoch : trace.epochs) {
-    NOMLOC_ASSIGN_OR_RETURN(core::LocationEstimate est,
-                            engine.LocateFromAnchors(epoch.anchors));
-    result.errors_m.push_back(Distance(est.position, epoch.ground_truth));
+    core::LocateRequest request;
+    request.anchors = epoch.anchors;
+    NOMLOC_ASSIGN_OR_RETURN(core::LocateResponse response,
+                            engine.Locate(request));
+    result.errors_m.push_back(
+        Distance(response.estimate.position, epoch.ground_truth));
   }
   result.mean_error_m = common::Mean(result.errors_m);
   return result;

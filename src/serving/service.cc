@@ -238,7 +238,18 @@ AdmitStatus StreamingLocalizer::Ingest(const IngestPacket& packet) {
 
 void StreamingLocalizer::Start() {
   paused_.store(false, std::memory_order_release);
-  for (auto& queue : queues_) queue->ready.notify_all();
+  WakeWorkers();
+}
+
+void StreamingLocalizer::WakeWorkers() {
+  // A worker evaluates its wait predicate under the queue mutex and only
+  // then blocks.  Taking that mutex once after the flag store means no
+  // worker can sit between a stale predicate check and its wait when the
+  // notify fires; without it the wake-up is lost and Flush/join hang.
+  for (auto& queue : queues_) {
+    { std::lock_guard<std::mutex> lock(queue->mutex); }
+    queue->ready.notify_all();
+  }
 }
 
 void StreamingLocalizer::Flush() {
@@ -255,7 +266,7 @@ void StreamingLocalizer::Shutdown() {
   std::lock_guard<std::mutex> lifecycle(lifecycle_mutex_);
   if (threads_.empty()) return;
   shutdown_.store(true, std::memory_order_release);
-  for (auto& queue : queues_) queue->ready.notify_all();
+  WakeWorkers();
   for (std::thread& thread : threads_) thread.join();
   threads_.clear();
 }
@@ -408,8 +419,7 @@ void StreamingLocalizer::Serve(const Job& job) {
         auto solver = store_.SolverSession(packet.object_id, [&] {
           sessions_created.Increment();
           return std::make_shared<localization::SpSolverSession>(
-              engine_.MakeSolverSession(
-                  localization::SpSessionMode::kIncremental));
+              engine_.MakeSolverSession());
         });
         return engine_.Locate(request, solver.get());
       }();

@@ -223,6 +223,9 @@ class StreamingLocalizer {
   struct WorkerQueue;
 
   void WorkerLoop(std::size_t worker_index);
+  /// Notifies every worker after a paused_/shutdown_ flip (see .cc for
+  /// why the queue mutexes are taken first).
+  void WakeWorkers();
   void Serve(const Job& job);
   void PushResponse(ServeResponse response);
   /// Puts a retried query back on its own worker's queue (capacity and

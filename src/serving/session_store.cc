@@ -614,16 +614,21 @@ common::Json SessionStore::CheckpointJson(
 
 common::Result<std::size_t> SessionStore::RestoreFromJson(
     const common::Json& json) {
-  return RestoreImpl(json, /*merge=*/false);
+  return RestoreImpl(json, RestoreMode::kReplace);
 }
 
 common::Result<std::size_t> SessionStore::MergeFromJson(
     const common::Json& json) {
-  return RestoreImpl(json, /*merge=*/true);
+  return RestoreImpl(json, RestoreMode::kMerge);
+}
+
+common::Result<std::size_t> SessionStore::MergeMissingFromJson(
+    const common::Json& json) {
+  return RestoreImpl(json, RestoreMode::kMergeMissing);
 }
 
 common::Result<std::size_t> SessionStore::RestoreImpl(const common::Json& json,
-                                                      bool merge) {
+                                                      RestoreMode mode) {
   NOMLOC_ASSIGN_OR_RETURN(double version, json.GetDouble("schema_version"));
   if (version != kCheckpointSchemaVersion)
     return common::InvalidArgument("unsupported checkpoint schema version");
@@ -712,7 +717,7 @@ common::Result<std::size_t> SessionStore::RestoreImpl(const common::Json& json,
     staged.push_back(std::move(session));
   }
 
-  if (merge) {
+  if (mode == RestoreMode::kMerge) {
     // All-or-nothing: a collision with a live session fails before any
     // staged session has been linked in.
     for (const StagedSession& session : staged) {
@@ -723,7 +728,7 @@ common::Result<std::size_t> SessionStore::RestoreImpl(const common::Json& json,
             "merge checkpoint object_id " +
             std::to_string(session.object_id) + " already has a session");
     }
-  } else {
+  } else if (mode == RestoreMode::kReplace) {
     for (const auto& shard : shards_) {
       std::lock_guard<std::mutex> lock(shard->mutex);
       shard->index.Clear();
@@ -737,6 +742,9 @@ common::Result<std::size_t> SessionStore::RestoreImpl(const common::Json& json,
   for (const StagedSession& session : staged) {
     Shard& shard = *shards_[ShardOf(session.object_id)];
     std::lock_guard<std::mutex> lock(shard.mutex);
+    if (mode == RestoreMode::kMergeMissing &&
+        shard.index.Find(session.object_id) != nullptr)
+      continue;
     const std::uint32_t slot = shard.sessions.Alloc();
     *shard.index.Insert(session.object_id).first = slot;
     // Link anchors (already key-sorted) and their observation chains.

@@ -227,6 +227,14 @@ class SessionStore {
   /// it); like RestoreFromJson the store is unchanged on any error.
   common::Result<std::size_t> MergeFromJson(const common::Json& json);
 
+  /// Like MergeFromJson, but an object id that already has a live session
+  /// keeps it and the checkpoint's copy is skipped instead of failing the
+  /// merge: the live session formed from newer traffic and supersedes the
+  /// copy.  Each id is checked and linked under one shard lock, so an
+  /// Upsert racing the merge can only make its own session skip.  Returns
+  /// the number of sessions merged.
+  common::Result<std::size_t> MergeMissingFromJson(const common::Json& json);
+
  private:
   /// One PDP report, index-linked into its anchor's history chain.
   struct ObsRec {
@@ -296,9 +304,11 @@ class SessionStore {
   /// when the slot was evicted.  Caller holds the mutex.
   bool SweepSlot(Shard& shard, std::uint32_t slot, double now_s,
                  std::size_t& observations_evicted);
-  /// Shared body of RestoreFromJson / MergeFromJson.
+  /// What a restore does with the sessions already in the store.
+  enum class RestoreMode { kReplace, kMerge, kMergeMissing };
+  /// Shared body of RestoreFromJson / MergeFromJson / MergeMissingFromJson.
   common::Result<std::size_t> RestoreImpl(const common::Json& json,
-                                          bool merge);
+                                          RestoreMode mode);
 
   SessionStoreConfig config_;
   std::vector<std::unique_ptr<Shard>> shards_;

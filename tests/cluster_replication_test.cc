@@ -6,9 +6,12 @@
 // placement epoch is a typed fence, never a silent overwrite.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
@@ -257,6 +260,56 @@ TEST(Replication, RecoverHandsSessionsBackAndKeepsBitIdentity) {
   ExpectBitIdentical(responses, GoldenRun(*harness, config.serving));
 }
 
+TEST(Replication, MigrateKeepsStandbyCopiesThroughCrashFailover) {
+  // Migrating a host must carry its warm-standby copies along: a crash
+  // of the *other* shard right afterwards promotes exactly those copies.
+  // Anchors live for 2.5 epochs, so a promoted copy that lost its
+  // pre-migration history answers differently from the golden run.
+  auto harness = MakeHarness(6, 5);
+  ASSERT_TRUE(harness.ok()) << harness.status().ToString();
+  ClusterConfig config = ReplicatedConfig(*harness);
+  config.shards = 2;
+  config.serving.store.anchor_ttl_s = 2.5 * harness->replay.epoch_interval_s;
+  serving::ManualClock clock;
+  auto cluster = Cluster::Create(harness->engine, config, &clock);
+  ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+  auto& promoted = common::MetricRegistry::Global().Counter(
+      "cluster.promoted_sessions");
+  const auto promoted_before = promoted.Value();
+
+  std::size_t victim_sessions = 0;
+  Replay(
+      *harness, clock,
+      [&](const serving::IngestPacket& p) {
+        EXPECT_EQ((*cluster)->Ingest(p), serving::AdmitStatus::kAccepted);
+      },
+      [&](std::size_t finished) {
+        (*cluster)->Flush();
+        if (finished == 1) {
+          const std::string standby_before =
+              (*cluster)->StandbyStoreOf(1)->CheckpointJson(nullptr).Dump();
+          auto migrated = (*cluster)->Migrate(1);
+          ASSERT_TRUE(migrated.ok()) << migrated.status().ToString();
+          EXPECT_TRUE((*cluster)->StandbyStoreOf(1)->CheckpointJson(nullptr)
+                          .Dump() == standby_before)
+              << "migration dropped warm-standby copies";
+        } else if (finished == 2) {
+          victim_sessions = (*cluster)->StoreOf(0)->SessionCount();
+          (*cluster)->Kill(0, /*unclean=*/true);
+        } else if (finished == 3) {
+          auto recovered = (*cluster)->Recover(0);
+          ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+        }
+      });
+  const auto responses = (*cluster)->TakeResponses();
+  (*cluster)->Shutdown();
+
+  // Every session of the crashed shard came back from its standby.
+  EXPECT_GT(victim_sessions, 0u);
+  EXPECT_EQ(promoted.Value(), promoted_before + victim_sessions);
+  ExpectBitIdentical(responses, GoldenRun(*harness, config.serving));
+}
+
 TEST(Replication, DurableCrashRecoveryReplaysWalToExactState) {
   auto harness = MakeHarness(4, 4);
   ASSERT_TRUE(harness.ok()) << harness.status().ToString();
@@ -374,7 +427,12 @@ TEST(Replication, ConcurrentIngestAfterCrashPromotesExactlyOnce) {
   // The tsan-checked race: several router-side callers all find the
   // primary dead at once (half-open probes included) — exactly one
   // promotion may happen, and every caller's packet must still land.
-  auto harness = MakeHarness(4, 2);
+  // Racing packets reach the promoted host while the repair runs (and the
+  // recovered owner before its hand-back), so they cover only half of the
+  // victim's objects: the other half must come through both moves with
+  // exactly their pre-crash state.  A repair that drops a whole batch
+  // when one racing object already has a live session fails this.
+  auto harness = MakeHarness(256, 2);
   ASSERT_TRUE(harness.ok()) << harness.status().ToString();
   ClusterConfig config = ReplicatedConfig(*harness);
   config.shard_breaker.failure_threshold = 1;  // Trip on first failure.
@@ -393,41 +451,109 @@ TEST(Replication, ConcurrentIngestAfterCrashPromotesExactlyOnce) {
       [&](std::size_t) { (*cluster)->Flush(); });
 
   const std::size_t victim = (*cluster)->ShardOf(0);
+  std::vector<std::uint64_t> victim_ids =
+      (*cluster)->StoreOf(victim)->ObjectIds(nullptr);
+  std::sort(victim_ids.begin(), victim_ids.end());
+  struct StandbyCopy {
+    std::size_t shard = 0;
+    std::string dump;
+  };
+  std::set<std::uint64_t> raced;
+  std::map<std::uint64_t, StandbyCopy> untouched;
+  for (std::size_t k = 0; k < victim_ids.size(); ++k) {
+    const std::uint64_t id = victim_ids[k];
+    if (k % 2 == 0) {
+      raced.insert(id);
+      continue;
+    }
+    for (std::size_t shard = 0; shard < config.shards; ++shard)
+      if ((*cluster)->StandbyStoreOf(shard)->Contains(id))
+        untouched[id] = {shard, (*cluster)
+                                    ->StandbyStoreOf(shard)
+                                    ->CheckpointJson([id](std::uint64_t other) {
+                                      return other == id;
+                                    })
+                                    .Dump()};
+  }
+  ASSERT_FALSE(untouched.empty());
   (*cluster)->Kill(victim, /*unclean=*/true);
 
-  // Observations owned by the dead shard, raced from 4 threads.
+  // Observations of the raced objects, sent from 4 threads one object
+  // after another and paced, so that objects new to the receiving store
+  // keep arriving while the repair runs.
   std::vector<serving::IngestPacket> victim_packets;
   for (const serving::IngestPacket& p : harness->plan.packets)
     if (p.kind == serving::PacketKind::kObservation &&
-        (*cluster)->ShardOf(p.object_id) == victim)
+        raced.count(p.object_id) != 0)
       victim_packets.push_back(p);
   ASSERT_FALSE(victim_packets.empty());
-  const double race_t =
-      harness->plan.packets.back().timestamp_s + 1.0;
-  clock.Set(race_t);
-  for (serving::IngestPacket& p : victim_packets) {
-    p.timestamp_s = race_t;
-    p.deadline_s = race_t + 10.0;
-  }
-
+  std::stable_sort(victim_packets.begin(), victim_packets.end(),
+                   [](const serving::IngestPacket& a,
+                      const serving::IngestPacket& b) {
+                     return a.object_id < b.object_id;
+                   });
   std::atomic<std::size_t> accepted{0};
-  std::vector<std::thread> threads;
-  for (int thread_index = 0; thread_index < 4; ++thread_index) {
-    threads.emplace_back([&, thread_index] {
-      for (std::size_t k = std::size_t(thread_index);
-           k < victim_packets.size(); k += 4)
-        if ((*cluster)->Ingest(victim_packets[k]) ==
-            serving::AdmitStatus::kAccepted)
-          accepted.fetch_add(1);
-    });
-  }
-  for (std::thread& t : threads) t.join();
-  (*cluster)->Flush();
-  (*cluster)->Shutdown();
+  const auto race = [&](double race_t, const std::function<void()>& alongside) {
+    clock.Set(race_t);
+    for (serving::IngestPacket& p : victim_packets) {
+      p.timestamp_s = race_t;
+      p.deadline_s = race_t + 10.0;
+    }
+    accepted.store(0);
+    std::vector<std::thread> threads;
+    for (int thread_index = 0; thread_index < 4; ++thread_index) {
+      threads.emplace_back([&, thread_index] {
+        for (std::size_t k = std::size_t(thread_index);
+             k < victim_packets.size(); k += 4) {
+          if ((*cluster)->Ingest(victim_packets[k]) ==
+              serving::AdmitStatus::kAccepted)
+            accepted.fetch_add(1);
+          std::this_thread::sleep_for(std::chrono::microseconds(100));
+        }
+      });
+    }
+    alongside();
+    for (std::thread& t : threads) t.join();
+    (*cluster)->Flush();
+  };
+  // Every untouched session sits, byte for byte as its standby copy had
+  // it, on exactly one live primary store: its promoted standby host
+  // after the failover, the victim again after the recovery.
+  const auto expect_untouched = [&](bool recovered) {
+    for (const auto& [id, copy] : untouched) {
+      std::size_t holders = 0;
+      for (std::size_t shard = 0; shard < config.shards; ++shard) {
+        if (!(*cluster)->ShardLive(shard) ||
+            !(*cluster)->StoreOf(shard)->Contains(id))
+          continue;
+        ++holders;
+        EXPECT_EQ(shard, recovered ? victim : copy.shard) << "object " << id;
+        EXPECT_EQ((*cluster)->StoreOf(shard)
+                      ->CheckpointJson([id](std::uint64_t other) {
+                        return other == id;
+                      })
+                      .Dump(),
+                  copy.dump)
+            << "object " << id << " lost its pre-crash state";
+      }
+      EXPECT_EQ(holders, 1u) << "object " << id;
+    }
+  };
 
+  const double last_t = harness->plan.packets.back().timestamp_s;
+  race(last_t + 1.0, [] {});
   EXPECT_EQ(registry.Counter("cluster.failovers").Value(),
             failovers_before + 1);  // Exactly one promotion.
   EXPECT_EQ(accepted.load(), victim_packets.size());  // Nothing dropped.
+  expect_untouched(/*recovered=*/false);
+
+  race(last_t + 2.0, [&] {
+    auto recovered = (*cluster)->Recover(victim);
+    EXPECT_TRUE(recovered.ok()) << recovered.status().ToString();
+  });
+  EXPECT_EQ(accepted.load(), victim_packets.size());
+  expect_untouched(/*recovered=*/true);
+  (*cluster)->Shutdown();
 }
 
 }  // namespace

@@ -37,6 +37,21 @@ std::vector<ApObservation> Observe(const channel::IndoorEnvironment& env,
   return obs;
 }
 
+common::Result<LocateResponse> FromObservations(
+    const NomLocEngine& engine, std::span<const ApObservation> observations) {
+  LocateRequest request;
+  request.observations = observations;
+  return engine.Locate(request);
+}
+
+common::Result<LocateResponse> FromAnchors(
+    const NomLocEngine& engine,
+    std::span<const localization::Anchor> anchors) {
+  LocateRequest request;
+  request.anchors = anchors;
+  return engine.Locate(request);
+}
+
 TEST(EngineCreate, ValidatesConfig) {
   NomLocConfig bad;
   bad.bandwidth_hz = 0.0;
@@ -61,13 +76,13 @@ TEST(EngineCreate, ConvexAreaIsOnePart) {
 
 TEST(Locate, RequiresTwoObservationsWithFrames) {
   const NomLocEngine engine = MakeEngine(Polygon::Rectangle(0, 0, 12, 8));
-  EXPECT_EQ(engine.Locate(std::vector<ApObservation>{}).status().code(),
+  EXPECT_EQ(FromObservations(engine, {}).status().code(),
             common::StatusCode::kInvalidArgument);
 
   std::vector<ApObservation> no_frames(2);
   no_frames[0].reported_position = {1, 1};
   no_frames[1].reported_position = {2, 2};
-  EXPECT_EQ(engine.Locate(no_frames).status().code(),
+  EXPECT_EQ(FromObservations(engine, no_frames).status().code(),
             common::StatusCode::kInvalidArgument);
 }
 
@@ -77,10 +92,10 @@ TEST(Locate, EstimateIsInsideArea) {
   common::Rng rng(3);
   const std::vector<Vec2> aps{{1, 1}, {11, 1}, {11, 7}, {1, 7}};
   const auto obs = Observe(env, {4.0, 3.0}, aps, 30, rng);
-  auto est = engine.Locate(obs);
-  ASSERT_TRUE(est.ok()) << est.status().ToString();
-  EXPECT_TRUE(engine.Area().Contains(est->position, 1e-5));
-  EXPECT_EQ(est->anchors.size(), 4u);
+  auto located = FromObservations(engine, obs);
+  ASSERT_TRUE(located.ok()) << located.status().ToString();
+  EXPECT_TRUE(engine.Area().Contains(located->estimate.position, 1e-5));
+  EXPECT_EQ(located->estimate.anchors.size(), 4u);
 }
 
 TEST(Locate, ReasonableAccuracyInOpenRoom) {
@@ -91,10 +106,10 @@ TEST(Locate, ReasonableAccuracyInOpenRoom) {
                               {6, 4}, {3, 6},  {9, 2}};
   const Vec2 truth{4.0, 3.0};
   const auto obs = Observe(env, truth, aps, 40, rng);
-  auto est = engine.Locate(obs);
-  ASSERT_TRUE(est.ok());
+  auto located = FromObservations(engine, obs);
+  ASSERT_TRUE(located.ok());
   // 7 anchors partition a 12x8 room finely; error must be small.
-  EXPECT_LT(Distance(est->position, truth), 2.5);
+  EXPECT_LT(Distance(located->estimate.position, truth), 2.5);
 }
 
 TEST(Locate, MoreAnchorsImproveAccuracyOnAverage) {
@@ -108,37 +123,38 @@ TEST(Locate, MoreAnchorsImproveAccuracyOnAverage) {
   const std::vector<Vec2> truths{{4, 3}, {9, 5}, {2, 6}, {6, 2}, {10, 3}};
   common::Rng rng(7);
   for (const Vec2 truth : truths) {
-    auto est_few = engine.Locate(Observe(env, truth, few, 30, rng));
-    auto est_many = engine.Locate(Observe(env, truth, many, 30, rng));
+    auto est_few = FromObservations(engine, Observe(env, truth, few, 30, rng));
+    auto est_many =
+        FromObservations(engine, Observe(env, truth, many, 30, rng));
     ASSERT_TRUE(est_few.ok());
     ASSERT_TRUE(est_many.ok());
-    err_few += Distance(est_few->position, truth);
-    err_many += Distance(est_many->position, truth);
+    err_few += Distance(est_few->estimate.position, truth);
+    err_many += Distance(est_many->estimate.position, truth);
   }
   EXPECT_LT(err_many, err_few);
 }
 
-TEST(LocateFromAnchors, CoincidentAnchorsFail) {
+TEST(LocateAnchors, CoincidentAnchorsFail) {
   const NomLocEngine engine = MakeEngine(Polygon::Rectangle(0, 0, 10, 8));
   std::vector<localization::Anchor> anchors{{{3.0, 3.0}, 2.0, false},
                                             {{3.0, 3.0}, 1.0, false}};
-  EXPECT_EQ(engine.LocateFromAnchors(anchors).status().code(),
+  EXPECT_EQ(FromAnchors(engine, anchors).status().code(),
             common::StatusCode::kFailedPrecondition);
 }
 
-TEST(LocateFromAnchors, DiagnosticsPopulated) {
+TEST(LocateAnchors, DiagnosticsPopulated) {
   const NomLocEngine engine = MakeEngine(Polygon::Rectangle(0, 0, 10, 8));
   std::vector<localization::Anchor> anchors{{{1.0, 1.0}, 4.0, false},
                                             {{9.0, 1.0}, 2.0, false},
                                             {{5.0, 7.0}, 1.0, false}};
-  auto est = engine.LocateFromAnchors(anchors);
-  ASSERT_TRUE(est.ok());
-  EXPECT_EQ(est->anchors.size(), 3u);
-  EXPECT_GE(est->relaxation_cost, 0.0);
-  EXPECT_EQ(est->part_index, 0u);
+  auto located = FromAnchors(engine, anchors);
+  ASSERT_TRUE(located.ok());
+  EXPECT_EQ(located->estimate.anchors.size(), 3u);
+  EXPECT_GE(located->estimate.relaxation_cost, 0.0);
+  EXPECT_EQ(located->estimate.part_index, 0u);
 }
 
-TEST(LocateFromAnchors, NonConvexAreaEstimateInsideArea) {
+TEST(LocateAnchors, NonConvexAreaEstimateInsideArea) {
   auto l = Polygon::Create({{0.0, 0.0},
                             {20.0, 0.0},
                             {20.0, 6.0},
@@ -152,12 +168,13 @@ TEST(LocateFromAnchors, NonConvexAreaEstimateInsideArea) {
   std::vector<localization::Anchor> anchors{{{2.0, 12.0}, 8.0, false},
                                             {{2.0, 2.0}, 2.0, false},
                                             {{18.0, 2.0}, 1.0, false}};
-  auto est = engine->LocateFromAnchors(anchors);
-  ASSERT_TRUE(est.ok());
-  EXPECT_TRUE(l->Contains(est->position, 1e-5));
+  auto located = FromAnchors(*engine, anchors);
+  ASSERT_TRUE(located.ok());
+  const Vec2 p = located->estimate.position;
+  EXPECT_TRUE(l->Contains(p, 1e-5));
   // Should land in the vertical arm, near the strong anchor's cell.
-  EXPECT_LT(est->position.y, 15.0);
-  EXPECT_GT(est->position.y, 4.0);
+  EXPECT_LT(p.y, 15.0);
+  EXPECT_GT(p.y, 4.0);
 }
 
 TEST(EngineCreate, ValidatesSolverOptions) {
@@ -203,39 +220,6 @@ TEST(LocateRequest, ResponseCarriesDiagnosticsAndTimings) {
   EXPECT_GE(response->timings.total_s,
             response->timings.extract_s + response->timings.solve_s);
   EXPECT_TRUE(engine.Area().Contains(response->estimate.position, 1e-5));
-}
-
-TEST(LocateRequest, PerCallPolicyOverrideChangesJudgementSet) {
-  const NomLocEngine engine = MakeEngine(Polygon::Rectangle(0, 0, 12, 8));
-  // Two nomadic sites: kPaper skips the nomadic–nomadic pair.
-  std::vector<localization::Anchor> anchors{{{1.0, 1.0}, 4.0, true},
-                                            {{9.0, 1.0}, 2.0, true},
-                                            {{5.0, 7.0}, 1.0, false}};
-  LocateRequest request;
-  request.anchors = anchors;
-  auto paper = engine.Locate(request);
-  request.pair_policy = localization::PairPolicy::kAllPairs;
-  auto all_pairs = engine.Locate(request);
-  ASSERT_TRUE(paper.ok());
-  ASSERT_TRUE(all_pairs.ok());
-  EXPECT_EQ(paper->judgement_count, 2u);
-  EXPECT_EQ(all_pairs->judgement_count, 3u);
-}
-
-TEST(LocateRequest, WrappersMatchUnifiedEntryPoint) {
-  const channel::IndoorEnvironment env = EmptyRoom();
-  const NomLocEngine engine = MakeEngine(env.Boundary());
-  common::Rng rng(9);
-  const std::vector<Vec2> aps{{1, 1}, {11, 1}, {11, 7}, {1, 7}};
-  const auto obs = Observe(env, {7.0, 5.0}, aps, 10, rng);
-  LocateRequest request;
-  request.observations = obs;
-  auto unified = engine.Locate(request);
-  auto wrapped = engine.Locate(obs);
-  ASSERT_TRUE(unified.ok());
-  ASSERT_TRUE(wrapped.ok());
-  EXPECT_EQ(unified->estimate.position, wrapped->position);
-  EXPECT_EQ(unified->estimate.relaxation_cost, wrapped->relaxation_cost);
 }
 
 TEST(LocateBatch, BitIdenticalToSerialLoopForAnyThreadCount) {
@@ -309,30 +293,10 @@ std::vector<localization::Anchor> AnchorsAt(Vec2 truth,
   return out;
 }
 
-TEST(LocateSession, ColdSessionIsBitIdenticalToStateless) {
-  const NomLocEngine engine = MakeEngine(Polygon::Rectangle(0, 0, 12, 8));
-  const std::vector<Vec2> aps{{1, 1}, {11, 1}, {11, 7}, {1, 7}};
-  for (const Vec2 truth : {Vec2{3.0, 2.0}, Vec2{8.5, 6.0}}) {
-    const auto anchors = AnchorsAt(truth, aps);
-    LocateRequest request;
-    request.anchors = anchors;
-    auto session = engine.MakeSolverSession();  // default: kColdEachSolve
-    auto via_session = engine.Locate(request, &session);
-    auto stateless = engine.Locate(request);
-    ASSERT_TRUE(via_session.ok()) << via_session.status().ToString();
-    ASSERT_TRUE(stateless.ok());
-    EXPECT_EQ(via_session->estimate.position, stateless->estimate.position);
-    EXPECT_EQ(via_session->estimate.relaxation_cost,
-              stateless->estimate.relaxation_cost);
-    EXPECT_EQ(via_session->lp_iterations, stateless->lp_iterations);
-  }
-}
-
 TEST(LocateSession, IncrementalSessionTracksMovingObject) {
   const NomLocEngine engine = MakeEngine(Polygon::Rectangle(0, 0, 12, 8));
   const std::vector<Vec2> aps{{1, 1}, {11, 1}, {11, 7}, {1, 7}, {6, 4}};
-  auto session =
-      engine.MakeSolverSession(localization::SpSessionMode::kIncremental);
+  auto session = engine.MakeSolverSession();
   // One warm session follows the object; every fix must agree with the
   // stateless answer to solver tolerance.
   for (double s = 0.0; s <= 1.0; s += 0.125) {
@@ -350,20 +314,6 @@ TEST(LocateSession, IncrementalSessionTracksMovingObject) {
                 cold->estimate.relaxation_cost, 1e-6);
     EXPECT_EQ(warm->degradation, cold->degradation);
   }
-}
-
-TEST(LocateSession, RejectsPerRequestOverrides) {
-  const NomLocEngine engine = MakeEngine(Polygon::Rectangle(0, 0, 12, 8));
-  const std::vector<Vec2> aps{{1, 1}, {11, 1}, {11, 7}};
-  const auto anchors = AnchorsAt({4.0, 3.0}, aps);
-  LocateRequest request;
-  request.anchors = anchors;
-  request.solver = localization::SpSolverOptions{};
-  auto session = engine.MakeSolverSession();
-  EXPECT_EQ(engine.Locate(request, &session).status().code(),
-            common::StatusCode::kInvalidArgument);
-  // Without a session the override is honoured as before.
-  EXPECT_TRUE(engine.Locate(request).ok());
 }
 
 TEST(LocateSession, NullSessionIsPlainLocate) {
@@ -385,11 +335,11 @@ TEST(Locate, DeterministicGivenSameObservations) {
   common::Rng rng(11);
   const std::vector<Vec2> aps{{1, 1}, {11, 1}, {11, 7}, {1, 7}};
   const auto obs = Observe(env, {5.0, 5.0}, aps, 20, rng);
-  auto a = engine.Locate(obs);
-  auto b = engine.Locate(obs);
+  auto a = FromObservations(engine, obs);
+  auto b = FromObservations(engine, obs);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  EXPECT_EQ(a->position, b->position);
+  EXPECT_EQ(a->estimate.position, b->estimate.position);
 }
 
 }  // namespace

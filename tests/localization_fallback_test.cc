@@ -136,40 +136,15 @@ TEST(SolveSpResilient, ExhaustedLadderFallsBackToWeightedCentroid) {
   EXPECT_EQ(resilient->solution.parts[0].violated, constraints.size());
 }
 
-TEST(SolveSpResilient, DisabledPolicyPropagatesSolveErrors) {
+TEST(SolveSpResilient, FailsWhenNoRungCanAnswer) {
   std::vector<SpConstraint> constraints{
       {HalfPlane::CloserTo({1.0, 1.0}, {9.0, 7.0}), 0.5, false}};
-  SpSolverOptions options;
-  options.fallback.enable = false;
-  // No parts: the full solve fails, and with the chain disabled the error
-  // must surface instead of degrading.
-  auto resilient = SolveSpResilient({}, {}, constraints, options);
-  EXPECT_FALSE(resilient.ok());
+  // No parts and no anchors: every LP rung fails and the weighted
+  // centroid has nothing to average, so the error must surface.
+  auto resilient = SolveSpResilient({}, {}, constraints, {});
+  EXPECT_EQ(resilient.status().code(),
+            common::StatusCode::kFailedPrecondition);
 }
-
-// The pre-SpSolverOptions-collapse compat overload (separate policy
-// argument) must keep delegating to the collapsed one until it is
-// removed.
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-TEST(SolveSpResilient, DeprecatedPolicyOverloadMatchesCollapsedOptions) {
-  const auto parts = Room();
-  const auto constraints = IdealConstraints({4.0, 3.0}, kAps);
-
-  SpSolverOptions options;
-  options.fallback.max_relaxation_cost = 1e-6;
-  auto collapsed = SolveSpResilient(parts, {}, constraints, options);
-
-  FallbackPolicy policy = options.fallback;
-  auto shim = SolveSpResilient(parts, {}, constraints, SpSolverOptions{},
-                               policy);
-  ASSERT_TRUE(collapsed.ok()) << collapsed.status().ToString();
-  ASSERT_TRUE(shim.ok()) << shim.status().ToString();
-  EXPECT_EQ(shim->level, collapsed->level);
-  EXPECT_EQ(shim->solution.estimate.x, collapsed->solution.estimate.x);
-  EXPECT_EQ(shim->solution.estimate.y, collapsed->solution.estimate.y);
-}
-#pragma GCC diagnostic pop
 
 TEST(WeightedAnchorCentroid, PdpWeightedMeanInsideArea) {
   const auto parts = Room();

@@ -1,8 +1,8 @@
-// Equivalence suite for the stateful SpSolverSession (sp_session.h): the
-// cold mode must be BIT-IDENTICAL to from-scratch SolveSp over the active
-// constraint set, and the incremental mode must agree to solver tolerance
-// across seeded add/decay schedules — including degenerate regions,
-// non-convex floors, and the fallback degradation ladder.
+// Equivalence suite for the stateful SpSolverSession (sp_session.h): every
+// Solve() must agree with from-scratch SolveSp over the active constraint
+// set to solver tolerance across seeded add/decay schedules — including
+// degenerate regions, non-convex floors, and the fallback degradation
+// ladder.
 #include "localization/sp_session.h"
 
 #include <gtest/gtest.h>
@@ -88,8 +88,8 @@ void ExpectEquivalent(const SpSolution& got, const SpSolution& want,
 // Drives the same seeded add/decay schedule through a session and through
 // from-scratch SolveSp, comparing after every step.
 void RunSchedule(std::uint64_t seed, const std::vector<Polygon>& parts,
-                 SpSolverOptions options, double contradiction_p,
-                 bool expect_bits) {
+                 double contradiction_p) {
+  const SpSolverOptions options;
   common::Rng rng(seed);
   const Vec2 truth{rng.Uniform(2.0, 8.0), rng.Uniform(2.0, 6.0)};
   SpSolverSession session(parts, options);
@@ -117,13 +117,9 @@ void RunSchedule(std::uint64_t seed, const std::vector<Polygon>& parts,
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     auto want = SolveSp(parts, session.ActiveConstraints(), options);
     ASSERT_TRUE(want.ok()) << want.status().ToString();
-    if (expect_bits) {
-      ExpectBitIdentical(*got, *want);
-    } else {
-      const std::string context =
-          "seed " + std::to_string(seed) + " step " + std::to_string(step);
-      ExpectEquivalent(*got, *want, context.c_str());
-    }
+    const std::string context =
+        "seed " + std::to_string(seed) + " step " + std::to_string(step);
+    ExpectEquivalent(*got, *want, context.c_str());
   }
 }
 
@@ -141,55 +137,25 @@ std::vector<Polygon> LShapedFloor() {
   return *parts;
 }
 
-TEST(SpSessionCold, BitIdenticalToBatchOverSchedules) {
-  for (std::uint64_t seed : {3ull, 17ull, 99ull}) {
-    SpSolverOptions options;
-    options.session_mode = SpSessionMode::kColdEachSolve;
-    RunSchedule(seed, OneRoom(), options, 0.25, /*expect_bits=*/true);
-  }
-}
-
-TEST(SpSessionCold, BitIdenticalOnNonConvexFloor) {
-  SpSolverOptions options;
-  options.session_mode = SpSessionMode::kColdEachSolve;
-  RunSchedule(11, LShapedFloor(), options, 0.25, /*expect_bits=*/true);
-}
-
 TEST(SpSessionIncremental, MatchesBatchOverSchedules) {
-  for (std::uint64_t seed : {3ull, 17ull, 99ull, 123ull}) {
-    SpSolverOptions options;
-    options.session_mode = SpSessionMode::kIncremental;
-    RunSchedule(seed, OneRoom(), options, 0.25, /*expect_bits=*/false);
-  }
+  for (std::uint64_t seed : {3ull, 17ull, 99ull, 123ull})
+    RunSchedule(seed, OneRoom(), 0.25);
 }
 
 TEST(SpSessionIncremental, MatchesBatchOnConsistentConstraints) {
   // Pure fast-path regime: no contradictions, the LP never engages.
-  SpSolverOptions options;
-  options.session_mode = SpSessionMode::kIncremental;
-  RunSchedule(5, OneRoom(), options, 0.0, /*expect_bits=*/false);
+  RunSchedule(5, OneRoom(), 0.0);
 }
 
 TEST(SpSessionIncremental, MatchesBatchOnNonConvexFloor) {
-  SpSolverOptions options;
-  options.session_mode = SpSessionMode::kIncremental;
-  RunSchedule(11, LShapedFloor(), options, 0.25, /*expect_bits=*/false);
-}
-
-TEST(SpSessionIncremental, MatchesBatchWithInteriorPointBackend) {
-  SpSolverOptions options;
-  options.session_mode = SpSessionMode::kIncremental;
-  options.lp_backend = LpBackend::kInteriorPoint;
-  // IPM converges to ~1e-9; loosen nothing — the shared kTol holds.
-  RunSchedule(7, OneRoom(), options, 0.25, /*expect_bits=*/false);
+  RunSchedule(11, LShapedFloor(), 0.25);
 }
 
 TEST(SpSessionIncremental, DegenerateRegionPinch) {
   // Two parallel bisectors squeeze the region to a sliver, then conflict
   // outright; the session must track the batch through the transition.
   const auto parts = OneRoom();
-  SpSolverOptions options;
-  options.session_mode = SpSessionMode::kIncremental;
+  const SpSolverOptions options;
   SpSolverSession session(parts, options);
 
   // zx <= 5 (closer to (4,4) than (6,4)), then increasingly tight from
@@ -217,8 +183,7 @@ TEST(SpSessionIncremental, FastpathAndWarmCountersMove) {
   const auto warm0 = registry.Counter("solver.warm_hits").Value();
 
   const auto parts = OneRoom();
-  SpSolverOptions options;
-  options.session_mode = SpSessionMode::kIncremental;
+  const SpSolverOptions options;
   SpSolverSession session(parts, options);
   const std::vector<Vec2> aps{{1, 1}, {9, 1}, {9, 7}, {1, 7}};
 
@@ -242,8 +207,7 @@ TEST(SpSessionIncremental, FastpathAndWarmCountersMove) {
 
 TEST(SpSessionIncremental, RepeatedSolveWithoutDeltasIsStable) {
   const auto parts = OneRoom();
-  SpSolverOptions options;
-  options.session_mode = SpSessionMode::kIncremental;
+  const SpSolverOptions options;
   SpSolverSession session(parts, options);
   const std::vector<Vec2> aps{{1, 1}, {9, 1}, {9, 7}, {1, 7}};
   ASSERT_TRUE(session.AddConstraints(IdealConstraints({4, 3}, aps)).ok());
@@ -256,8 +220,7 @@ TEST(SpSessionIncremental, RepeatedSolveWithoutDeltasIsStable) {
 
 TEST(SpSession, ReplaceConstraintsKeepsMatchesAndDiffsRest) {
   const auto parts = OneRoom();
-  SpSolverOptions options;
-  options.session_mode = SpSessionMode::kIncremental;
+  const SpSolverOptions options;
   SpSolverSession session(parts, options);
   const std::vector<Vec2> aps{{1, 1}, {9, 1}, {9, 7}, {1, 7}};
   const auto set_a = IdealConstraints({3, 2}, aps);
@@ -303,8 +266,7 @@ TEST(SpSession, RejectsBoundaryConstraints) {
 
 TEST(SpSession, ClearRestartsTheSession) {
   const auto parts = OneRoom();
-  SpSolverOptions options;
-  options.session_mode = SpSessionMode::kIncremental;
+  const SpSolverOptions options;
   SpSolverSession session(parts, options);
   const std::vector<Vec2> aps{{1, 1}, {9, 1}, {9, 7}, {1, 7}};
   ASSERT_TRUE(session.AddConstraints(IdealConstraints({3, 2}, aps)).ok());
@@ -332,7 +294,6 @@ TEST(SpSessionLadder, ResilientSessionMatchesStatelessLadder) {
   for (const Vec2& p : aps) anchors.push_back({p, 1.0, false});
 
   SpSolverOptions options;
-  options.session_mode = SpSessionMode::kIncremental;
   options.fallback.max_relaxation_cost = 0.05;
 
   auto constraints = IdealConstraints({3, 2}, aps, 0.9);

@@ -164,35 +164,6 @@ INSTANTIATE_TEST_SUITE_P(AllCenters, CenterMethodTest,
                                            CenterMethod::kChebyshev,
                                            CenterMethod::kAnalytic));
 
-// The paper solved Eq. 19 with CVX's interior point; our two backends
-// must agree on cost and estimate across random instances.
-TEST(SolveSpPart, LpBackendsAgree) {
-  const Polygon room = Polygon::Rectangle(0.0, 0.0, 12.0, 8.0);
-  const std::vector<Vec2> aps{{1, 1}, {11, 1}, {11, 7}, {1, 7}, {6, 4}};
-  common::Rng rng(41);
-  SpSolverOptions simplex_opts;
-  SpSolverOptions ipm_opts;
-  ipm_opts.lp_backend = LpBackend::kInteriorPoint;
-  for (int trial = 0; trial < 15; ++trial) {
-    const Vec2 truth{rng.Uniform(0.5, 11.5), rng.Uniform(0.5, 7.5)};
-    auto constraints = IdealConstraints(truth, aps);
-    // Poison one judgement so the relaxation actually has work to do on
-    // some trials.
-    if (trial % 3 == 0 && constraints.size() > 2) {
-      std::swap(constraints[0].half_plane.a.x,
-                constraints[0].half_plane.a.y);
-      constraints[0].weight = 0.55;
-    }
-    auto s = SolveSpPart(room, constraints, simplex_opts);
-    auto ipm = SolveSpPart(room, constraints, ipm_opts);
-    ASSERT_TRUE(s.ok()) << s.status().ToString();
-    ASSERT_TRUE(ipm.ok()) << ipm.status().ToString();
-    EXPECT_NEAR(ipm->relaxation_cost, s->relaxation_cost,
-                1e-4 * (1.0 + s->relaxation_cost));
-    EXPECT_LT(Distance(ipm->estimate, s->estimate), 0.2);
-  }
-}
-
 TEST(SolveSp, SinglePartMatchesSolveSpPart) {
   const Polygon room = Polygon::Rectangle(0.0, 0.0, 10.0, 8.0);
   const std::vector<Vec2> aps{{1, 1}, {9, 1}, {9, 7}, {1, 7}};

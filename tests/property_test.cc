@@ -275,10 +275,13 @@ TEST(PipelineProperty, EndToEndEstimateAlwaysInsideArea) {
                          std::pow(10.0, rng.Uniform(-9, -3)),
                          rng.Bernoulli(0.5)});
     }
-    auto est = engine->LocateFromAnchors(anchors);
-    if (!est.ok()) continue;  // Coincident anchors: legitimately rejected.
-    EXPECT_TRUE(engine->Area().Contains(est->position, 1e-5))
-        << "(" << est->position.x << ", " << est->position.y << ")";
+    core::LocateRequest request;
+    request.anchors = anchors;
+    auto located = engine->Locate(request);
+    if (!located.ok()) continue;  // Coincident anchors: legitimately rejected.
+    const geometry::Vec2 p = located->estimate.position;
+    EXPECT_TRUE(engine->Area().Contains(p, 1e-5))
+        << "(" << p.x << ", " << p.y << ")";
   }
 }
 

@@ -182,7 +182,7 @@ TEST(ChaosRun, InvariantsHoldAcrossSeeds) {
 // chaos invariants must hold on degraded rungs too.
 TEST(ChaosRun, DegradationLadderEngagesUnderTightBudget) {
   core::NomLocConfig engine_cfg;
-  engine_cfg.fallback.max_relaxation_cost = 1e-9;
+  engine_cfg.solver.fallback.max_relaxation_cost = 1e-9;
   auto harness = MakeHarness(4, engine_cfg);
   ASSERT_TRUE(harness.ok());
   ChaosConfig chaos;

@@ -181,6 +181,33 @@ TEST_F(ServiceTest, ShutdownDrainsThenRejectsIngest) {
   EXPECT_EQ(responses[0].status, ServeStatus::kOk);
 }
 
+TEST_F(ServiceTest, BackToBackLifecyclesNeverLoseAWakeUp) {
+  // Start() and Shutdown() flip paused_/shutdown_ while a worker may sit
+  // between its wait-predicate check and the wait itself.  A notify lost
+  // there hangs Flush() or the join; the suite's ctest TIMEOUT turns such
+  // a hang into a failure.  Fresh services maximise the window: their
+  // workers are still entering the wait when the flag flips.
+  clock_.Set(0.0);
+  for (int cycle = 0; cycle < 2000; ++cycle) {
+    ServingConfig config;
+    config.workers = 2;
+    config.start_paused = cycle % 2 == 0;
+    auto service = MakeService(config);
+    if (cycle % 4 < 2) {
+      ASSERT_EQ(service->Ingest(Observation(1, 0, {1.0, 1.0}, 0.5, 0.0)),
+                AdmitStatus::kAccepted);
+      ASSERT_EQ(service->Ingest(Observation(1, 1, {9.0, 9.0}, 0.1, 0.0)),
+                AdmitStatus::kAccepted);
+      ASSERT_EQ(service->Ingest(Query(1, 0.0)), AdmitStatus::kAccepted);
+    }
+    service->Start();
+    service->Flush();
+    service->Shutdown();
+    ASSERT_EQ(service->TakeResponses().size(), cycle % 4 < 2 ? 1u : 0u)
+        << "cycle " << cycle;
+  }
+}
+
 TEST_F(ServiceTest, FaultInjectorIsDeterministicAndMemoizesDropout) {
   FaultConfig config;
   config.ap_dropout_rate = 0.5;

@@ -399,6 +399,28 @@ TEST(SessionStore, MergeRejectsCollidingObjectId) {
   EXPECT_EQ(*merged, 1u);
 }
 
+TEST(SessionStore, MergeMissingKeepsLiveSessionsAndAddsTheRest) {
+  SessionStore source(SmallStore());
+  source.Upsert(5, {0, 0}, {1.0, 1.0}, false, Obs(0.5, 1.0, 0.0), 0.0);
+  source.Upsert(6, {0, 0}, {2.0, 2.0}, false, Obs(0.6, 1.0, 0.0), 0.0);
+  const auto only = [](std::uint64_t want) {
+    return [want](std::uint64_t id) { return id == want; };
+  };
+
+  // Object 5 already has a newer live session in the target: it keeps
+  // it, and object 6 still arrives byte-exact.
+  SessionStore target(SmallStore());
+  target.Upsert(5, {0, 1}, {9.0, 9.0}, false, Obs(0.9, 1.0, 1.0), 1.0);
+  const std::string live = target.CheckpointJson(only(5)).Dump();
+  auto merged = target.MergeMissingFromJson(source.CheckpointJson());
+  ASSERT_TRUE(merged.ok()) << merged.status().ToString();
+  EXPECT_EQ(*merged, 1u);
+  EXPECT_EQ(target.SessionCount(), 2u);
+  EXPECT_EQ(target.CheckpointJson(only(5)).Dump(), live);
+  EXPECT_EQ(target.CheckpointJson(only(6)).Dump(),
+            source.CheckpointJson(only(6)).Dump());
+}
+
 TEST(SessionStore, RestoreRejectsCorruptCheckpointAndKeepsStore) {
   SessionStore store(SmallStore());
   store.Upsert(1, {0, 0}, {0.0, 0.0}, false, Obs(1.0, 1.0, 0.0), 0.0);

@@ -3,7 +3,6 @@
 //   nomloc_trace record [--scenario lab|lobby|office] [--trials N]
 //                       [--packets N] [--seed N] --out FILE
 //   nomloc_trace replay --in FILE [--center centroid|chebyshev|analytic]
-//                       [--lp simplex|ipm]
 //
 // `record` runs the measurement pipeline once per test site per trial and
 // archives the resulting anchors (position + PDP) with ground truth as
@@ -28,7 +27,7 @@ namespace {
                "usage: %s record [--scenario S] [--trials N] [--packets N] "
                "[--seed N] --out FILE\n"
                "       %s replay --in FILE [--center centroid|chebyshev|"
-               "analytic] [--lp simplex|ipm]\n",
+               "analytic]\n",
                argv0, argv0);
   std::exit(2);
 }
@@ -104,12 +103,6 @@ int Replay(int argc, char** argv) {
         solver.center = localization::CenterMethod::kChebyshev;
       else if (c == "analytic")
         solver.center = localization::CenterMethod::kAnalytic;
-      else Usage(argv[0]);
-    } else if (arg == "--lp") {
-      const std::string l = next();
-      if (l == "simplex") solver.lp_backend = localization::LpBackend::kSimplex;
-      else if (l == "ipm")
-        solver.lp_backend = localization::LpBackend::kInteriorPoint;
       else Usage(argv[0]);
     } else {
       Usage(argv[0]);
