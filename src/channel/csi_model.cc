@@ -13,6 +13,17 @@ namespace nomloc::channel {
 using dsp::Cplx;
 using dsp::CsiFrame;
 
+namespace {
+
+// Circularly-symmetric complex Gaussian with per-component standard
+// deviation `sigma`: the same draws, in the same order, and the same bits
+// as rng.ComplexGaussian(v) with sigma = sqrt(v / 2).
+Cplx ComplexNormal(common::Rng& rng, double sigma) {
+  return {sigma * rng.Gaussian(), sigma * rng.Gaussian()};
+}
+
+}  // namespace
+
 LinkModel::LinkModel(std::vector<PropagationPath> paths,
                      const ChannelConfig& config)
     : paths_(std::move(paths)), config_(config) {
@@ -23,7 +34,8 @@ LinkModel::LinkModel(std::vector<PropagationPath> paths,
                                             : CsiFrame::Ht20Indices();
   amp_.reserve(paths_.size());
   delay_s_.reserve(paths_.size());
-  k_linear_.reserve(paths_.size());
+  los_amp_.reserve(paths_.size());
+  diffuse_sigma_.reserve(paths_.size());
   const double k_direct = common::FromDb(config_.rician_k_db);
   const double k_bounce = common::FromDb(config_.bounce_rician_k_db);
   for (const PropagationPath& p : paths_) {
@@ -33,18 +45,26 @@ LinkModel::LinkModel(std::vector<PropagationPath> paths,
     // The direct path keeps a strong deterministic component (Rician);
     // bounced paths default to (near-)Rayleigh but can be made stable for
     // static-environment studies via bounce_rician_k_db.
-    k_linear_.push_back(p.is_direct ? k_direct : k_bounce);
+    const double k = p.is_direct ? k_direct : k_bounce;
+    // Rng::ComplexGaussian's variance check, made once per link: a NaN K
+    // or noise floor throws here, before any frame is built.
+    const double diffuse_variance = 1.0 / (k + 1.0);
+    NOMLOC_REQUIRE(diffuse_variance >= 0.0);
+    los_amp_.push_back(std::sqrt(k / (k + 1.0)));
+    diffuse_sigma_.push_back(std::sqrt(diffuse_variance / 2.0));
   }
   noise_variance_mw_ = common::DbmToMilliwatts(config_.noise_floor_dbm);
+  NOMLOC_REQUIRE(noise_variance_mw_ >= 0.0);
+  noise_sigma_ = std::sqrt(noise_variance_mw_ / 2.0);
   tones_ = std::make_shared<ToneTable>();
 }
 
 const LinkModel::ToneTable& LinkModel::Tones() const {
-  // Delay phasor tables: cos/sin of the exact angles Synthesize used to
-  // recompute per packet, so the hot loop is a pure complex axpy.  Values
-  // are bit-identical to the historical per-call trigonometry.  Built on
-  // first use rather than in the constructor: MakeLink stays cheap for
-  // callers that trace a link without ever sampling it (e.g. the
+  // Delay and carrier phasor tables: cos/sin of the exact angles Synthesize
+  // used to recompute per packet, so the hot loop is a pure complex axpy.
+  // Values are bit-identical to the historical per-call trigonometry.
+  // Built on first use rather than in the constructor: MakeLink stays cheap
+  // for callers that trace a link without ever sampling it (e.g. the
   // trace.repeated_link bench), and copies of a model share one table.
   std::call_once(tones_->once, [this] {
     const double df = config_.bandwidth_hz / double(config_.fft_size);
@@ -59,6 +79,22 @@ const LinkModel::ToneTable& LinkModel::Tones() const {
         tones_->im[p * stride + i] = std::sin(ang);
       }
     }
+    const std::size_t paths = paths_.size();
+    tones_->carrier.resize(std::size_t(config_.rx_antennas) * paths);
+    for (int antenna = 0; antenna < config_.rx_antennas; ++antenna) {
+      for (std::size_t p = 0; p < paths; ++p) {
+        // Deterministic carrier phase of the path, plus the uniform-linear-
+        // array offset of this antenna: 2*pi*spacing*m*cos(aoa).
+        const double array_phase =
+            2.0 * std::numbers::pi * config_.antenna_spacing_wavelengths *
+            double(antenna) * std::cos(paths_[p].aoa_rad);
+        const double carrier_phase =
+            -2.0 * std::numbers::pi * config_.carrier_hz * delay_s_[p] +
+            array_phase;
+        tones_->carrier[std::size_t(antenna) * paths + p] =
+            Cplx(std::cos(carrier_phase), std::sin(carrier_phase));
+      }
+    }
   });
   return *tones_;
 }
@@ -67,11 +103,8 @@ std::vector<Cplx> LinkModel::DrawGains(common::Rng& rng) const {
   std::vector<Cplx> gains;
   gains.reserve(paths_.size());
   for (std::size_t p = 0; p < paths_.size(); ++p) {
-    // Rician with K = k_linear_[p] (K = 0 is Rayleigh).
-    const double kk = k_linear_[p];
-    const Cplx diffuse = rng.ComplexGaussian(1.0 / (kk + 1.0));
-    const double los = std::sqrt(kk / (kk + 1.0));
-    gains.push_back(Cplx(los, 0.0) + diffuse);
+    gains.push_back(Cplx(los_amp_[p], 0.0) +
+                    ComplexNormal(rng, diffuse_sigma_[p]));
   }
   return gains;
 }
@@ -82,6 +115,8 @@ CsiFrame LinkModel::Synthesize(std::span<const Cplx> gains,
   NOMLOC_REQUIRE(antenna >= 0 && antenna < config_.rx_antennas);
   const std::size_t stride = subcarriers_.size();
   const ToneTable& tones = Tones();
+  const Cplx* carrier =
+      tones.carrier.data() + std::size_t(antenna) * paths_.size();
 
   // Split-complex accumulators, reused across packets on each thread.
   thread_local std::vector<double> acc_re, acc_im;
@@ -90,16 +125,9 @@ CsiFrame LinkModel::Synthesize(std::span<const Cplx> gains,
 
   for (std::size_t p = 0; p < paths_.size(); ++p) {
     const Cplx gain = gains.empty() ? Cplx(1.0, 0.0) : gains[p];
-    // Deterministic carrier phase of the path, plus the uniform-linear-
-    // array offset of this antenna: 2*pi*spacing*m*cos(aoa).
-    const double array_phase =
-        2.0 * std::numbers::pi * config_.antenna_spacing_wavelengths *
-        double(antenna) * std::cos(paths_[p].aoa_rad);
-    const double carrier_phase =
-        -2.0 * std::numbers::pi * config_.carrier_hz * delay_s_[p] +
-        array_phase;
-    const Cplx base =
-        gain * amp_[p] * Cplx(std::cos(carrier_phase), std::sin(carrier_phase));
+    // Kept as (gain * amp) * carrier: folding amp into the table would
+    // round differently.
+    const Cplx base = gain * amp_[p] * carrier[p];
     // values[i] += base * tone(p, i), over the precomputed phasor table.
     simd::CplxAxpy(stride, base.real(), base.imag(),
                    tones.re.data() + p * stride, tones.im.data() + p * stride,
@@ -110,7 +138,7 @@ CsiFrame LinkModel::Synthesize(std::span<const Cplx> gains,
   simd::Interleave(stride, acc_re.data(), acc_im.data(), values.data());
 
   if (noise_rng != nullptr) {
-    for (Cplx& v : values) v += noise_rng->ComplexGaussian(noise_variance_mw_);
+    for (Cplx& v : values) v += ComplexNormal(*noise_rng, noise_sigma_);
   }
 
   auto frame = CsiFrame::Create(subcarriers_, std::move(values),
@@ -140,18 +168,16 @@ std::vector<CsiFrame> LinkModel::SampleBatch(std::size_t count,
   // at rate rho per packet, preserving the marginal distribution.
   std::vector<Cplx> diffuse(paths_.size());
   for (std::size_t p = 0; p < paths_.size(); ++p)
-    diffuse[p] = rng.ComplexGaussian(1.0 / (k_linear_[p] + 1.0));
+    diffuse[p] = ComplexNormal(rng, diffuse_sigma_[p]);
   const double innovation = std::sqrt(1.0 - rho * rho);
   std::vector<Cplx> gains(paths_.size());
   for (std::size_t i = 0; i < count; ++i) {
     for (std::size_t p = 0; p < paths_.size(); ++p) {
       if (i > 0) {
         diffuse[p] = rho * diffuse[p] +
-                     innovation *
-                         rng.ComplexGaussian(1.0 / (k_linear_[p] + 1.0));
+                     innovation * ComplexNormal(rng, diffuse_sigma_[p]);
       }
-      const double los = std::sqrt(k_linear_[p] / (k_linear_[p] + 1.0));
-      gains[p] = Cplx(los, 0.0) + diffuse[p];
+      gains[p] = Cplx(los_amp_[p], 0.0) + diffuse[p];
     }
     out.push_back(Synthesize(gains, &rng));
   }

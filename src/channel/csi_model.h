@@ -122,20 +122,32 @@ class LinkModel {
   std::vector<int> subcarriers_;
   std::vector<double> amp_;        ///< Linear per-path amplitude [sqrt(mW)].
   std::vector<double> delay_s_;
-  std::vector<double> k_linear_;   ///< Rician K per path (0 = Rayleigh).
-  /// Per-path per-subcarrier delay phasors e^{-j 2π f_k τ_p}, split-complex
-  /// with stride subcarriers_.size().  Built lazily on the first synthesized
-  /// packet (links that are traced but never sampled skip the trigonometry)
-  /// and shared across copies; afterwards packet synthesis runs
-  /// trigonometry-free through simd::CplxAxpy.
+  /// Rician fading per path with factor K (K = 0 is Rayleigh): the gain is
+  /// los_amp_ = sqrt(K/(K+1)) plus a complex Gaussian of variance 1/(K+1),
+  /// drawn with per-component standard deviation diffuse_sigma_ =
+  /// sqrt((1/(K+1))/2).  Both are fixed per link, so packets only draw.
+  std::vector<double> los_amp_;
+  std::vector<double> diffuse_sigma_;
+  /// Tables that depend on the link but not on the packet, built lazily on
+  /// the first synthesized packet (links that are traced but never sampled
+  /// skip the trigonometry) and shared across copies; afterwards packet
+  /// synthesis runs trigonometry-free through simd::CplxAxpy.
   struct ToneTable {
     std::once_flag once;
+    /// Per-path per-subcarrier delay phasors e^{-j 2π f_k τ_p},
+    /// split-complex with stride subcarriers_.size().
     std::vector<double> re;
     std::vector<double> im;
+    /// Per-antenna per-path carrier phasors e^{j φ_{m,p}} with
+    /// φ_{m,p} = -2π f_c τ_p + 2π d m cos(aoa_p), indexed
+    /// [antenna * paths + path].
+    std::vector<dsp::Cplx> carrier;
   };
   const ToneTable& Tones() const;
   std::shared_ptr<ToneTable> tones_;
   double noise_variance_mw_ = 0.0;
+  /// Per-component standard deviation of the AWGN, sqrt(noise_variance/2).
+  double noise_sigma_ = 0.0;
 };
 
 /// Factory for LinkModels over one environment.

@@ -43,6 +43,20 @@ std::vector<Vec2> NomadicSitesFor(const Scenario& scenario, std::size_t k) {
   return sites;
 }
 
+// Samples `packets` CSI frames on `link` and extracts their PDP.  SISO
+// batches go through the standard per-frame PDP average; with
+// rx_antennas > 1 the antennas are combined non-coherently per packet
+// first (dsp::PdpOfMimoBatch).
+double MeasurePdp(const channel::LinkModel& link, const RunConfig& config,
+                  std::size_t packets, common::Rng& rng) {
+  if (config.channel.rx_antennas > 1) {
+    return dsp::PdpOfMimoBatch(link.SampleMimoBatch(packets, rng),
+                               config.channel.bandwidth_hz, config.engine.pdp);
+  }
+  return dsp::PdpOfBatch(link.SampleBatch(packets, rng),
+                         config.channel.bandwidth_hz, config.engine.pdp);
+}
+
 }  // namespace
 
 common::Result<void> RunConfig::Validate() const {
@@ -67,25 +81,14 @@ common::Result<std::vector<localization::Anchor>> MeasureEpoch(
   const channel::CsiSimulator sim(scenario.env, config.channel);
   std::vector<localization::Anchor> anchors;
 
-  // Measures one anchor: SISO batches go through the standard per-frame
-  // PDP average; with rx_antennas > 1 the antennas are combined
-  // non-coherently per packet first (dsp::PdpOfMimoBatch).
   auto measure_anchor = [&](Vec2 true_position, Vec2 reported_position,
                             bool is_nomadic,
                             std::size_t packets) -> localization::Anchor {
-    const auto link = sim.MakeLink(object, true_position);
     localization::Anchor anchor;
     anchor.position = reported_position;
+    anchor.pdp =
+        MeasurePdp(sim.MakeLink(object, true_position), config, packets, rng);
     anchor.is_nomadic_site = is_nomadic;
-    if (config.channel.rx_antennas > 1) {
-      const auto mimo = link.SampleMimoBatch(packets, rng);
-      anchor.pdp = dsp::PdpOfMimoBatch(mimo, config.channel.bandwidth_hz,
-                                       config.engine.pdp);
-    } else {
-      const auto frames = link.SampleBatch(packets, rng);
-      anchor.pdp = dsp::PdpOfBatch(frames, config.channel.bandwidth_hz,
-                                   config.engine.pdp);
-    }
     return anchor;
   };
 
@@ -247,20 +250,10 @@ common::Result<ProximityAccuracyResult> RunProximityAccuracy(
       // antennas when the config has more than one).
       std::vector<localization::Anchor> anchors;
       for (const Vec2 ap : scenario.static_aps) {
-        const auto link = sim.MakeLink(object, ap);
         localization::Anchor anchor;
         anchor.position = ap;
-        if (config.channel.rx_antennas > 1) {
-          const auto mimo =
-              link.SampleMimoBatch(config.packets_per_batch, site_rng);
-          anchor.pdp = dsp::PdpOfMimoBatch(mimo, config.channel.bandwidth_hz,
-                                           config.engine.pdp);
-        } else {
-          const auto frames =
-              link.SampleBatch(config.packets_per_batch, site_rng);
-          anchor.pdp = dsp::PdpOfBatch(frames, config.channel.bandwidth_hz,
-                                       config.engine.pdp);
-        }
+        anchor.pdp = MeasurePdp(sim.MakeLink(object, ap), config,
+                                config.packets_per_batch, site_rng);
         anchors.push_back(anchor);
       }
       const auto judgements = localization::JudgeProximity(

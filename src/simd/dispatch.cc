@@ -167,9 +167,26 @@ const char* KernelName(KernelId id) {
 
 namespace detail {
 
-std::atomic<std::uint64_t>& CallCounter(KernelId id) noexcept {
-  static std::atomic<std::uint64_t> counters[std::size_t(KernelId::kCount)];
-  return counters[std::size_t(id)];
+namespace {
+
+constexpr std::size_t kCallStripes = 8;
+CallStripe g_call_stripes[kCallStripes];
+std::atomic<std::size_t> g_next_stripe{0};
+
+}  // namespace
+
+CallStripe& ThreadCallStripe() noexcept {
+  thread_local CallStripe& stripe =
+      g_call_stripes[g_next_stripe.fetch_add(1, std::memory_order_relaxed) %
+                     kCallStripes];
+  return stripe;
+}
+
+std::uint64_t CallCount(KernelId id) noexcept {
+  std::uint64_t total = 0;
+  for (const CallStripe& stripe : g_call_stripes)
+    total += stripe.calls[std::size_t(id)].load(std::memory_order_relaxed);
+  return total;
 }
 
 }  // namespace detail
@@ -182,8 +199,7 @@ void PublishMetrics() {
     const KernelId id = KernelId(i);
     auto& counter = registry.Counter(
         "simd.kernel.calls", std::string("kernel=") + KernelName(id));
-    const std::uint64_t calls =
-        detail::CallCounter(id).load(std::memory_order_relaxed);
+    const std::uint64_t calls = detail::CallCount(id);
     // Counter is monotonic; publish the delta since the last snapshot.
     const std::uint64_t published = counter.Value();
     if (calls > published) counter.Increment(calls - published);

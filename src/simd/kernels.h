@@ -84,8 +84,8 @@ struct KernelTable {
 /// resolves the target; later calls are one atomic load.
 const KernelTable& ActiveKernels();
 
-/// Per-kernel call counters (relaxed atomics; exported into
-/// common::metrics by PublishMetrics()).
+/// Per-kernel call counters (relaxed atomics in per-thread stripes, summed
+/// into common::metrics by PublishMetrics()).
 enum class KernelId : int {
   kDot = 0,
   kAxpy,
@@ -110,10 +110,24 @@ const char* KernelName(KernelId id);
 
 namespace detail {
 
-std::atomic<std::uint64_t>& CallCounter(KernelId id) noexcept;
+/// One thread's call counters, on cache lines no other stripe shares, so
+/// threads calling kernels concurrently never write the same line.
+struct alignas(64) CallStripe {
+  std::atomic<std::uint64_t> calls[std::size_t(KernelId::kCount)] = {};
+};
+
+/// The calling thread's stripe.  Threads take stripes from a fixed pool of
+/// 8 on their first kernel call, in that order, so the ninth thread shares
+/// the first thread's stripe, and so on.  Every increment is an atomic
+/// add, so a shared stripe still counts exactly.
+CallStripe& ThreadCallStripe() noexcept;
+
+/// Calls of `id` so far, summed over every stripe.
+std::uint64_t CallCount(KernelId id) noexcept;
 
 inline void Count(KernelId id) noexcept {
-  CallCounter(id).fetch_add(1, std::memory_order_relaxed);
+  ThreadCallStripe().calls[std::size_t(id)].fetch_add(
+      1, std::memory_order_relaxed);
 }
 
 // Per-target tables.  Only the variants compiled into this build are

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/rng.h"
 #include "common/stats.h"
@@ -310,6 +311,37 @@ TEST(Mimo, DiversityStabilisesPdp) {
   const double cv_siso = siso.StdDev() / siso.Mean();
   const double cv_mimo = mimo.StdDev() / mimo.Mean();
   EXPECT_LT(cv_mimo, 0.8 * cv_siso);
+}
+
+// A NaN noise floor or Rician K makes a fading or noise variance NaN.  That
+// must throw before any frame is built, whether the link rejects it on
+// construction or on the first draw.
+TEST(LinkModel, NanVarianceThrowsBeforeAnyFrame) {
+  const IndoorEnvironment env = EmptyRoom();
+  ChannelConfig noisy;
+  noisy.noise_floor_dbm = std::numeric_limits<double>::quiet_NaN();
+  ChannelConfig fading;
+  fading.rician_k_db = std::numeric_limits<double>::quiet_NaN();
+  for (const ChannelConfig& cfg : {noisy, fading}) {
+    const CsiSimulator sim(env, cfg);
+    common::Rng rng(3);
+    bool built = false;
+    EXPECT_THROW(
+        {
+          const LinkModel link = sim.MakeLink({1, 1}, {10, 6});
+          (void)link.Sample(rng);
+          built = true;
+        },
+        std::logic_error);
+    EXPECT_THROW(
+        {
+          const LinkModel link = sim.MakeLink({1, 1}, {10, 6});
+          (void)link.SampleBatch(4, rng);
+          built = true;
+        },
+        std::logic_error);
+    EXPECT_FALSE(built);
+  }
 }
 
 TEST(FadingCoherence, InvalidCorrelationThrows) {

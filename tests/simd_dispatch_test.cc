@@ -4,6 +4,8 @@
 
 #include <cstdlib>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "common/metrics.h"
 #include "gtest/gtest.h"
@@ -92,12 +94,36 @@ TEST_F(SimdDispatchTest, ForceTargetSwitchesActiveTable) {
 TEST_F(SimdDispatchTest, WrappersCountKernelCalls) {
   const double a[4] = {1.0, 2.0, 3.0, 4.0};
   const double b[4] = {5.0, 6.0, 7.0, 8.0};
-  const std::uint64_t before =
-      detail::CallCounter(KernelId::kDot).load(std::memory_order_relaxed);
+  const std::uint64_t before = detail::CallCount(KernelId::kDot);
   (void)Dot(a, b, 4);
-  const std::uint64_t after =
-      detail::CallCounter(KernelId::kDot).load(std::memory_order_relaxed);
-  EXPECT_EQ(after, before + 1);
+  EXPECT_EQ(detail::CallCount(KernelId::kDot), before + 1);
+}
+
+// Each thread counts on its own stripe; the sum over stripes, and the
+// metric published from it, must still be exact.
+TEST_F(SimdDispatchTest, CountsStayExactAcrossThreads) {
+  constexpr int kThreads = 4;
+  constexpr int kCallsPerThread = 10000;
+  PublishMetrics();
+  auto& counter = common::MetricRegistry::Global().Counter(
+      "simd.kernel.calls", "kernel=dot");
+  const std::uint64_t published_before = counter.Value();
+  const std::uint64_t before = detail::CallCount(KernelId::kDot);
+
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([] {
+      const double a[4] = {1.0, 2.0, 3.0, 4.0};
+      const double b[4] = {5.0, 6.0, 7.0, 8.0};
+      for (int i = 0; i < kCallsPerThread; ++i) (void)Dot(a, b, 4);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+
+  const std::uint64_t expected = std::uint64_t(kThreads) * kCallsPerThread;
+  EXPECT_EQ(detail::CallCount(KernelId::kDot), before + expected);
+  PublishMetrics();
+  EXPECT_EQ(counter.Value(), published_before + expected);
 }
 
 TEST_F(SimdDispatchTest, PublishMetricsExportsCountersOnce) {
