@@ -145,6 +145,10 @@ serving::AdmitStatus ShardHost::ApplyReplicate(
     return serving::AdmitStatus::kRejectedStaleEpoch;
   }
   const serving::IngestPacket& packet = replicate.packet;
+  // The primary's Ingest screen: what it rejects must not reach the copy
+  // a failover would promote.
+  if (serving::IsCorruptObservation(packet))
+    return serving::AdmitStatus::kRejectedCorrupt;
   // Mirror of the worker's observation apply (service.cc Serve): in
   // cluster mode the stream is globally timestamp-sorted, so the packet
   // timestamp IS the logical now the primary applied it at.

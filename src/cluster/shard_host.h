@@ -125,7 +125,9 @@ class ShardHost {
   /// split-brain fence: a frame whose epoch predates the host's is
   /// kRejectedStaleEpoch (`cluster.placement.stale_epoch`) and touches
   /// nothing — a router that lost a failover race cannot write into a
-  /// standby that was already promoted.  Mirrors the worker's
+  /// standby that was already promoted.  An observation the primary's
+  /// Ingest would reject as corrupt (serving::IsCorruptObservation) is
+  /// kRejectedCorrupt here too.  Mirrors the worker's
   /// observation apply bit-exactly (deadline check, then Upsert) with
   /// now = the packet timestamp, so a promoted standby answers as the
   /// primary would have.

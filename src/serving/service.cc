@@ -4,7 +4,7 @@
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
-#include <deque>
+#include <utility>
 
 #include "common/metrics.h"
 #include "localization/sp_session.h"
@@ -102,6 +102,14 @@ std::string_view AdmitStatusName(AdmitStatus status) noexcept {
   return "UNKNOWN";
 }
 
+bool IsCorruptObservation(const IngestPacket& packet) noexcept {
+  return !std::isfinite(packet.reported_position.x) ||
+         !std::isfinite(packet.reported_position.y) ||
+         !std::isfinite(packet.pdp) || packet.pdp <= 0.0 ||
+         !std::isfinite(packet.weight) || packet.weight <= 0.0 ||
+         !std::isfinite(packet.timestamp_s);
+}
+
 common::Result<void> ServingConfig::Validate() const {
   if (workers == 0) return common::InvalidArgument("workers must be >= 1");
   if (queue_capacity == 0)
@@ -120,12 +128,28 @@ struct StreamingLocalizer::Job {
   std::size_t retries_used = 0;
 };
 
+/// One worker's batch hand-off (see service.h): producers append to
+/// `jobs` under `mutex`, the worker swaps it out and serves it unlocked.
 struct StreamingLocalizer::WorkerQueue {
   std::mutex mutex;
   std::condition_variable ready;
   std::condition_variable drained;
-  std::deque<Job> jobs;
+  std::vector<Job> jobs;
+  /// Jobs of the worker's taken batch that have not started yet.  Only
+  /// the worker writes it; producers read it under `mutex` so that
+  /// `jobs.size() + unstarted` is the capacity-bounded quantity.
+  std::atomic<std::size_t> unstarted{0};
+  /// The worker holds a batch (Flush waits for it to finish).
   bool busy = false;
+  /// The worker is (about to be) waiting on `ready`.  Written under
+  /// `mutex`, so a producer that finds it clear knows the worker will
+  /// check `jobs` before it waits; one that finds it set clears it and
+  /// notifies, so a park costs one notify, not one per packet.
+  bool parked = false;
+
+  std::size_t Pending() const noexcept {
+    return jobs.size() + unstarted.load(std::memory_order_relaxed);
+  }
 };
 
 common::Result<std::unique_ptr<StreamingLocalizer>> StreamingLocalizer::
@@ -194,11 +218,7 @@ AdmitStatus StreamingLocalizer::Ingest(const IngestPacket& packet) {
       breaker_rejected.Increment();
       return AdmitStatus::kRejectedBreakerOpen;
     }
-    const bool corrupt = !std::isfinite(packet.reported_position.x) ||
-                         !std::isfinite(packet.reported_position.y) ||
-                         !std::isfinite(packet.pdp) || packet.pdp <= 0.0 ||
-                         !std::isfinite(packet.weight) || packet.weight <= 0.0;
-    if (corrupt) {
+    if (IsCorruptObservation(packet)) {
       corrupt_counter.Increment();
       breakers_.RecordFailure(packet.ap_id, breaker_now_s);
       return AdmitStatus::kRejectedCorrupt;
@@ -214,22 +234,24 @@ AdmitStatus StreamingLocalizer::Ingest(const IngestPacket& packet) {
 
   const std::size_t shard = store_.ShardOf(packet.object_id);
   WorkerQueue& queue = *queues_[shard % queues_.size()];
+  bool wake = false;
   {
     std::lock_guard<std::mutex> lock(queue.mutex);
-    if (queue.jobs.size() >= config_.queue_capacity) {
+    const std::size_t depth = queue.Pending();
+    if (depth >= config_.queue_capacity) {
       queue_full.Increment();
       return AdmitStatus::kRejectedQueueFull;
     }
-    Job job;
+    Job& job = queue.jobs.emplace_back();
     job.packet = packet;
     job.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
     job.enqueue_wall = std::chrono::steady_clock::now();
     if (packet.kind == PacketKind::kQuery)
       job.retries_left = config_.query_retry_budget;
-    queue.jobs.push_back(std::move(job));
-    depth_hist.Record(static_cast<double>(queue.jobs.size()));
+    depth_hist.Record(static_cast<double>(depth + 1));
+    wake = std::exchange(queue.parked, false);
   }
-  queue.ready.notify_one();
+  if (wake) queue.ready.notify_one();
   accepted.Increment();
   (packet.kind == PacketKind::kObservation ? observations : queries)
       .Increment();
@@ -291,41 +313,43 @@ bool StreamingLocalizer::TryRequeue(Job job) {
   if (shutdown_.load(std::memory_order_acquire)) return false;
   const std::size_t shard = store_.ShardOf(job.packet.object_id);
   WorkerQueue& queue = *queues_[shard % queues_.size()];
+  bool wake = false;
   {
     std::lock_guard<std::mutex> lock(queue.mutex);
-    if (queue.jobs.size() >= config_.queue_capacity) return false;
+    if (queue.Pending() >= config_.queue_capacity) return false;
     queue.jobs.push_back(std::move(job));
+    wake = std::exchange(queue.parked, false);
   }
-  queue.ready.notify_one();
+  if (wake) queue.ready.notify_one();
   return true;
 }
 
 void StreamingLocalizer::WorkerLoop(std::size_t worker_index) {
   WorkerQueue& queue = *queues_[worker_index];
+  std::vector<Job> batch;
   for (;;) {
-    Job job;
     {
       std::unique_lock<std::mutex> lock(queue.mutex);
+      queue.busy = false;  // the previous batch, if any, is done
+      if (queue.jobs.empty()) queue.drained.notify_all();
+      queue.parked = true;
       queue.ready.wait(lock, [&] {
         // Shutdown overrides pause so queued work still drains.
         return shutdown_.load(std::memory_order_acquire) ||
                (!paused_.load(std::memory_order_acquire) &&
                 !queue.jobs.empty());
       });
-      if (queue.jobs.empty()) {
-        if (shutdown_.load(std::memory_order_acquire)) return;
-        continue;
-      }
-      job = std::move(queue.jobs.front());
-      queue.jobs.pop_front();
+      queue.parked = false;
+      if (queue.jobs.empty()) return;  // shut down with nothing left
+      batch.swap(queue.jobs);
+      queue.unstarted.store(batch.size(), std::memory_order_relaxed);
       queue.busy = true;
     }
-    Serve(job);
-    {
-      std::lock_guard<std::mutex> lock(queue.mutex);
-      queue.busy = false;
-      if (queue.jobs.empty()) queue.drained.notify_all();
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      queue.unstarted.store(batch.size() - i - 1, std::memory_order_relaxed);
+      Serve(batch[i]);
     }
+    batch.clear();
   }
 }
 

@@ -13,6 +13,14 @@
 //   3. Admission control with backpressure: a full queue rejects the
 //      packet with a typed AdmitStatus instead of blocking the producer.
 //
+// Hand-off is one batch at a time: producers append to their worker's
+// job vector under its mutex and notify only when the worker is parked;
+// the worker swaps the whole vector for its own drained one and serves
+// that batch without the lock.  A batch costs the worker one lock round
+// trip, and after warm-up neither side allocates.  `queue_capacity`
+// bounds the jobs accepted but not yet started: those still queued plus
+// the unstarted rest of the worker's batch.
+//
 // Deadlines are absolute logical times (serving/clock.h).  A packet whose
 // deadline has passed at admission or at dequeue is rejected as
 // kRejectedDeadline — queries still yield a (rejection) response, so every
@@ -78,6 +86,13 @@ struct IngestPacket {
   std::chrono::steady_clock::time_point scheduled_wall{};
 };
 
+/// True when an observation must not enter a session: a non-finite
+/// position, PDP, weight or timestamp (a NaN or infinite timestamp would
+/// never age out), or a non-positive PDP or weight.  The primary's Ingest
+/// and a replication standby apply this one screen, so both copies hold
+/// the same observations.
+bool IsCorruptObservation(const IngestPacket& packet) noexcept;
+
 /// Synchronous admission verdict returned by Ingest().
 enum class AdmitStatus {
   kAccepted,
@@ -85,7 +100,7 @@ enum class AdmitStatus {
   kRejectedQueueFull,  ///< Backpressure: the worker's queue is at capacity.
   kRejectedDeadline,   ///< Deadline already passed at admission.
   kRejectedShutdown,   ///< Service is shutting down.
-  kRejectedCorrupt,    ///< Observation carried NaN/Inf or non-positive PDP.
+  kRejectedCorrupt,    ///< IsCorruptObservation: NaN/Inf or non-positive.
   kRejectedBreakerOpen,///< The AP's circuit breaker is open.
   /// Cluster: the frame's placement epoch predates the host's — a lagging
   /// router lost a failover race and must refresh its table.
@@ -135,7 +150,9 @@ struct ServeResponse {
 
 struct ServingConfig {
   std::size_t workers = 2;
-  /// Per-worker queue bound (admission control kicks in beyond it).
+  /// Per-worker bound on jobs accepted but not yet started — queued, or
+  /// waiting in the batch the worker has taken.  Ingest beyond it is
+  /// kRejectedQueueFull.
   std::size_t queue_capacity = 1024;
   SessionStoreConfig store;
   FaultConfig faults;

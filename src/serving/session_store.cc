@@ -27,9 +27,24 @@ std::uint64_t NextRandom(std::uint64_t& state) noexcept {
 /// no global recency list to maintain on the ingest hot path).
 constexpr std::size_t kEvictionSamples = 8;
 
+// Hot-path series, looked up once (metrics.h: lookup takes the registry
+// mutex).
 common::MetricHistogram& ShardBytesHistogram() {
-  return common::MetricRegistry::Global().Histogram("serving.shard.bytes", {},
-                                                    1.0, 1e9, 64);
+  static auto& histogram = common::MetricRegistry::Global().Histogram(
+      "serving.shard.bytes", {}, 1.0, 1e9, 64);
+  return histogram;
+}
+
+common::MetricCounter& ObservationsEvicted() {
+  static auto& counter =
+      common::MetricRegistry::Global().Counter("serving.observations.evicted");
+  return counter;
+}
+
+common::MetricCounter& SessionsEvicted() {
+  static auto& counter =
+      common::MetricRegistry::Global().Counter("serving.sessions.evicted");
+  return counter;
 }
 
 }  // namespace
@@ -136,9 +151,7 @@ bool SessionStore::Upsert(std::uint64_t object_id, AnchorKey key,
       ++evicted;
       obs_index = next;
     }
-    common::MetricRegistry::Global()
-        .Counter("serving.observations.evicted")
-        .Increment(evicted);
+    ObservationsEvicted().Increment(evicted);
     const std::uint32_t next_anchor = a.next;
     if (prev == common::kSlabNil)
       session.anchor_head = next_anchor;
@@ -180,11 +193,13 @@ bool SessionStore::Upsert(std::uint64_t object_id, AnchorKey key,
     shard.observations[anchor.obs_tail].next = obs_index;
   anchor.obs_tail = obs_index;
   anchor.newest_ts = std::max(anchor.newest_ts, obs.timestamp_s);
+  session.oldest_ts = std::min(session.oldest_ts, obs.timestamp_s);
 
-  if (created)
-    common::MetricRegistry::Global()
-        .Counter("serving.sessions.created")
-        .Increment();
+  if (created) {
+    static auto& sessions_created =
+        common::MetricRegistry::Global().Counter("serving.sessions.created");
+    sessions_created.Increment();
+  }
   if (config_.shard_bytes_budget > 0 &&
       ShardLiveBytes(shard) > config_.shard_bytes_budget)
     EvictForPressure(shard, slot);
@@ -193,11 +208,8 @@ bool SessionStore::Upsert(std::uint64_t object_id, AnchorKey key,
 
 std::size_t SessionStore::EvictForPressure(Shard& shard,
                                            std::uint32_t keep_slot) {
-  auto& registry = common::MetricRegistry::Global();
   static auto& pressure_counter =
-      registry.Counter("serving.evictions.pressure");
-  static auto& sessions_evicted_counter =
-      registry.Counter("serving.sessions.evicted");
+      common::MetricRegistry::Global().Counter("serving.evictions.pressure");
   std::size_t evicted = 0;
   while (ShardLiveBytes(shard) > config_.shard_bytes_budget &&
          shard.sessions.live() > 1) {
@@ -229,7 +241,7 @@ std::size_t SessionStore::EvictForPressure(Shard& shard,
   }
   if (evicted > 0) {
     pressure_counter.Increment(evicted);
-    sessions_evicted_counter.Increment(evicted);
+    SessionsEvicted().Increment(evicted);
   }
   return evicted;
 }
@@ -254,7 +266,11 @@ void SessionStore::FreeSessionRecords(Shard& shard,
 
 std::size_t SessionStore::PruneSession(Shard& shard, SessionRec& session,
                                        double now_s) const {
+  if (session.oldest_ts != -std::numeric_limits<double>::infinity() &&
+      now_s - session.oldest_ts <= config_.anchor_ttl_s)
+    return 0;
   std::size_t evicted = 0;
+  double oldest_ts = std::numeric_limits<double>::infinity();
   std::uint32_t prev_anchor = common::kSlabNil;
   std::uint32_t anchor_index = session.anchor_head;
   while (anchor_index != common::kSlabNil) {
@@ -275,6 +291,7 @@ std::size_t SessionStore::PruneSession(Shard& shard, SessionRec& session,
         shard.observations.Free(obs_index);
         ++evicted;
       } else {
+        oldest_ts = std::min(oldest_ts, obs.timestamp_s);
         prev_obs = obs_index;
       }
       obs_index = next;
@@ -291,6 +308,7 @@ std::size_t SessionStore::PruneSession(Shard& shard, SessionRec& session,
     }
     anchor_index = next_anchor;
   }
+  session.oldest_ts = oldest_ts;
   return evicted;
 }
 
@@ -302,10 +320,7 @@ common::Result<SessionSnapshot> SessionStore::Snapshot(
   if (slot == nullptr) return common::NotFound("no session for object");
   SessionRec& session = shard.sessions[*slot];
   const std::size_t evicted = PruneSession(shard, session, now_s);
-  if (evicted > 0)
-    common::MetricRegistry::Global()
-        .Counter("serving.observations.evicted")
-        .Increment(evicted);
+  if (evicted > 0) ObservationsEvicted().Increment(evicted);
 
   SessionSnapshot snap;
   snap.keys_ever = session.keys_ever;
@@ -352,7 +367,8 @@ bool SessionStore::SweepSlot(Shard& shard, std::uint32_t slot, double now_s,
 }
 
 std::size_t SessionStore::SweepShard(std::size_t shard_index, double now_s) {
-  auto& registry = common::MetricRegistry::Global();
+  static auto& occupancy_hist = common::MetricRegistry::Global().Histogram(
+      "serving.shard.occupancy", {}, 1.0, 1e6, 48);
   Shard& shard = *shards_[shard_index];
   std::size_t sessions_evicted = 0;
   std::size_t observations_evicted = 0;
@@ -371,20 +387,15 @@ std::size_t SessionStore::SweepShard(std::size_t shard_index, double now_s) {
     live_bytes = ShardLiveBytes(shard);
   }
   if (observations_evicted > 0)
-    registry.Counter("serving.observations.evicted")
-        .Increment(observations_evicted);
-  if (sessions_evicted > 0)
-    registry.Counter("serving.sessions.evicted").Increment(sessions_evicted);
-  registry
-      .Histogram("serving.shard.occupancy", {}, 1.0, 1e6, 48)
-      .Record(static_cast<double>(occupancy));
+    ObservationsEvicted().Increment(observations_evicted);
+  if (sessions_evicted > 0) SessionsEvicted().Increment(sessions_evicted);
+  occupancy_hist.Record(static_cast<double>(occupancy));
   ShardBytesHistogram().Record(static_cast<double>(live_bytes));
   return sessions_evicted;
 }
 
 std::size_t SessionStore::SweepStep(std::size_t shard_index, double now_s,
                                     std::size_t max_sessions) {
-  auto& registry = common::MetricRegistry::Global();
   Shard& shard = *shards_[shard_index];
   std::size_t sessions_evicted = 0;
   std::size_t observations_evicted = 0;
@@ -404,10 +415,8 @@ std::size_t SessionStore::SweepStep(std::size_t shard_index, double now_s,
     shard.sweep_cursor = cursor;
   }
   if (observations_evicted > 0)
-    registry.Counter("serving.observations.evicted")
-        .Increment(observations_evicted);
-  if (sessions_evicted > 0)
-    registry.Counter("serving.sessions.evicted").Increment(sessions_evicted);
+    ObservationsEvicted().Increment(observations_evicted);
+  if (sessions_evicted > 0) SessionsEvicted().Increment(sessions_evicted);
   return sessions_evicted;
 }
 
@@ -752,7 +761,11 @@ common::Result<std::size_t> SessionStore::RestoreImpl(const common::Json& json,
     // bumps ingest counters or triggers pressure eviction mid-rebuild.
     std::uint32_t prev_anchor = common::kSlabNil;
     std::uint32_t anchor_head = common::kSlabNil;
+    double oldest_ts = std::numeric_limits<double>::infinity();
     for (const StagedAnchor& anchor : session.anchors) {
+      // An anchor without observations must go at the next prune.
+      if (anchor.observations.empty())
+        oldest_ts = -std::numeric_limits<double>::infinity();
       const std::uint32_t anchor_index = shard.anchors.Alloc();
       {
         AnchorRec& a = shard.anchors[anchor_index];
@@ -775,6 +788,7 @@ common::Result<std::size_t> SessionStore::RestoreImpl(const common::Json& json,
           shard.observations[a.obs_tail].next = obs_index;
         a.obs_tail = obs_index;
         a.newest_ts = std::max(a.newest_ts, obs.timestamp_s);
+        oldest_ts = std::min(oldest_ts, obs.timestamp_s);
       }
       if (prev_anchor == common::kSlabNil)
         anchor_head = anchor_index;
@@ -787,6 +801,7 @@ common::Result<std::size_t> SessionStore::RestoreImpl(const common::Json& json,
     rec.last_touch_s = session.last_touch_s;
     rec.keys_ever = static_cast<std::uint32_t>(session.keys_ever);
     rec.anchor_head = anchor_head;
+    rec.oldest_ts = oldest_ts;
     if (session.has_lkg) {
       rec.lkg_x = session.lkg.position.x;
       rec.lkg_y = session.lkg.position.y;

@@ -264,6 +264,12 @@ class SessionStore {
   struct SessionRec {
     std::uint64_t object_id = 0;
     double last_touch_s = 0.0;
+    /// Lower bound on the timestamps of the session's observations (+inf
+    /// when it has none).  Upsert lowers it, a PruneSession walk resets
+    /// it to the survivors' minimum, and restore sets it; -inf forces the
+    /// next prune to walk (a restored anchor without observations must
+    /// still be dropped).
+    double oldest_ts = std::numeric_limits<double>::infinity();
     double lkg_x = 0.0, lkg_y = 0.0, lkg_confidence = 0.0, lkg_t = 0.0;
     std::uint32_t anchor_head = common::kSlabNil;
     std::uint32_t keys_ever = 0;
@@ -289,7 +295,12 @@ class SessionStore {
   std::size_t ShardResidentBytes(const Shard& shard) const noexcept;
 
   /// Drops expired observations / empty anchors; returns #observations
-  /// evicted.  Caller holds the shard mutex.
+  /// evicted.  Caller holds the shard mutex.  Returns 0 without touching
+  /// the chains when `now_s - oldest_ts <= anchor_ttl_s` (and oldest_ts
+  /// is not -inf): no observation is older than the bound and rounded
+  /// subtraction is monotone, so nothing can have expired.  That keeps
+  /// the per-query sweep and every snapshot from walking histories where
+  /// nothing ages out.
   std::size_t PruneSession(Shard& shard, SessionRec& session,
                            double now_s) const;
   /// Frees the session and everything it links (caller holds the mutex

@@ -9,9 +9,11 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <filesystem>
 #include <functional>
+#include <limits>
 #include <map>
 #include <set>
 #include <string>
@@ -421,6 +423,52 @@ TEST(Replication, StaleEpochReplicateIsTypedFence) {
       (*host)->StandbyStore().Contains(replicate.packet.object_id));
   pair->router_end->Close();
   (*host)->Stop();
+}
+
+// The standby applies the same observation screen as the primary's
+// Ingest: a corrupt report the primary rejects must not land in the
+// copy a failover would promote.
+TEST(Replication, StandbyRejectsWhatThePrimaryRejects) {
+  auto harness = MakeHarness(1, 1);
+  ASSERT_TRUE(harness.ok()) << harness.status().ToString();
+  ClusterConfig config = ReplicatedConfig(*harness);
+  serving::ManualClock clock;
+  auto cluster = Cluster::Create(harness->engine, config, &clock);
+  ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+
+  constexpr std::uint64_t kObject = 7;
+  const auto observation = [&](int ap_id, double pdp, double t_s) {
+    serving::IngestPacket packet;
+    packet.object_id = kObject;
+    packet.ap_id = ap_id;
+    packet.reported_position = {1.0 + ap_id, 1.0};
+    packet.pdp = pdp;
+    packet.timestamp_s = t_s;
+    return packet;
+  };
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const serving::IngestPacket& packet :
+       {observation(0, 0.5, 0.0), observation(1, 0.25, 0.0),
+        observation(2, nan, 0.0), observation(3, 0.5, inf)})
+    (void)(*cluster)->Ingest(packet);
+  (*cluster)->Flush();
+
+  std::size_t primaries = 0, standbys = 0;
+  for (std::size_t shard = 0; shard < config.shards; ++shard) {
+    for (serving::SessionStore* store :
+         {(*cluster)->StoreOf(shard), (*cluster)->StandbyStoreOf(shard)}) {
+      auto snapshot = store->Snapshot(kObject, 0.0);
+      if (!snapshot.ok()) continue;
+      ++(store == (*cluster)->StoreOf(shard) ? primaries : standbys);
+      ASSERT_EQ(snapshot->anchors.size(), 2u) << "shard " << shard;
+      for (const localization::Anchor& anchor : snapshot->anchors)
+        EXPECT_TRUE(std::isfinite(anchor.pdp)) << "shard " << shard;
+    }
+  }
+  EXPECT_EQ(primaries, 1u);
+  EXPECT_EQ(standbys, 1u);
+  (*cluster)->Shutdown();
 }
 
 TEST(Replication, ConcurrentIngestAfterCrashPromotesExactlyOnce) {

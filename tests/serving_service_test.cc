@@ -3,11 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <condition_variable>
 #include <cstring>
 #include <limits>
 #include <map>
+#include <mutex>
+#include <set>
 #include <sstream>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/assert.h"
@@ -40,6 +45,39 @@ IngestPacket Query(std::uint64_t object_id, double t_s) {
   packet.timestamp_s = t_s;
   return packet;
 }
+
+/// Reads 0 s.  The first read from any thread other than the constructing
+/// one blocks until Release(); a worker reads the clock once per job it
+/// serves, so it parks inside its first job while the test keeps ingesting.
+class GatedClock final : public Clock {
+ public:
+  double NowSeconds() const override {
+    if (std::this_thread::get_id() == owner_) return 0.0;
+    std::unique_lock<std::mutex> lock(mutex_);
+    if (!entered_) {
+      entered_ = true;
+      changed_.notify_all();
+      changed_.wait(lock, [&] { return released_; });
+    }
+    return 0.0;
+  }
+  void WaitUntilEntered() {
+    std::unique_lock<std::mutex> lock(mutex_);
+    changed_.wait(lock, [&] { return entered_; });
+  }
+  void Release() {
+    std::lock_guard<std::mutex> lock(mutex_);
+    released_ = true;
+    changed_.notify_all();
+  }
+
+ private:
+  const std::thread::id owner_ = std::this_thread::get_id();
+  mutable std::mutex mutex_;
+  mutable std::condition_variable changed_;
+  mutable bool entered_ = false;
+  bool released_ = false;
+};
 
 class ServiceTest : public ::testing::Test {
  protected:
@@ -131,6 +169,127 @@ TEST_F(ServiceTest, QueueFullRejectsDeterministically) {
   auto responses = service->TakeResponses();
   ASSERT_EQ(responses.size(), 1u);
   EXPECT_EQ(responses[0].status, ServeStatus::kOk);
+}
+
+// queue_capacity bounds the jobs accepted but not yet started.  With the
+// worker parked inside job 1 of 3, two jobs are waiting, so exactly one
+// more fits — whether the worker pops jobs one by one or has taken all
+// three at once.
+TEST_F(ServiceTest, CapacityCountsJobsNotYetStarted) {
+  GatedClock clock;
+  ServingConfig config;
+  config.workers = 1;
+  config.queue_capacity = 3;
+  config.start_paused = true;
+  auto created = StreamingLocalizer::Create(*engine_, config, &clock);
+  ASSERT_TRUE(created.ok());
+  StreamingLocalizer& service = **created;
+  for (int ap = 0; ap < 3; ++ap)
+    EXPECT_EQ(service.Ingest(Observation(1, ap, {1.0, 1.0}, 0.5, 0.0)),
+              AdmitStatus::kAccepted);
+
+  service.Start();
+  clock.WaitUntilEntered();
+  EXPECT_EQ(service.Ingest(Observation(1, 3, {2.0, 2.0}, 0.5, 0.0)),
+            AdmitStatus::kAccepted);
+  EXPECT_EQ(service.Ingest(Observation(1, 4, {3.0, 3.0}, 0.5, 0.0)),
+            AdmitStatus::kRejectedQueueFull);
+  clock.Release();
+  service.Flush();
+  EXPECT_EQ(service.Store().Memory().observations, 4u);
+}
+
+// Four producers race the workers' queue hand-off with a queue small
+// enough to reject: every accepted query is answered exactly once, and
+// each object's observations sit in the store in the order they were
+// accepted.
+TEST_F(ServiceTest, RacingProducersKeepPerObjectOrderAndLoseNothing) {
+  ServingConfig config;
+  config.workers = 2;
+  config.queue_capacity = 8;
+  config.store.anchor_ttl_s = 1e9;
+  config.store.session_idle_ttl_s = 1e9;
+  auto service = MakeService(config);
+  clock_.Set(0.0);
+
+  constexpr int kProducers = 4;
+  constexpr int kObjectsPerProducer = 4;
+  constexpr int kPacketsPerProducer = 1500;
+  struct Accepted {
+    /// PDPs of accepted observations per (object, ap), in acceptance order.
+    std::map<std::pair<std::uint64_t, int>, std::vector<double>> pdps;
+    std::size_t observations = 0;
+    std::size_t queries = 0;
+    std::size_t rejected = 0;
+  };
+  std::vector<Accepted> accepted(kProducers);
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      Accepted& mine = accepted[std::size_t(p)];
+      for (int i = 0; i < kPacketsPerProducer; ++i) {
+        const auto object =
+            std::uint64_t(p * kObjectsPerProducer + i % kObjectsPerProducer);
+        const int ap = (i / kObjectsPerProducer) % 2;
+        const bool query = i % 10 == 9;
+        // Every observation carries a PDP no other packet has.
+        const IngestPacket packet =
+            query ? Query(object, 0.0)
+                  : Observation(object, ap,
+                                ap == 0 ? geometry::Vec2{1.0, 1.0}
+                                        : geometry::Vec2{9.0, 9.0},
+                                1.0 + p * kPacketsPerProducer + i, 0.0);
+        const AdmitStatus status = service->Ingest(packet);
+        if (status == AdmitStatus::kRejectedQueueFull) {
+          ++mine.rejected;
+          std::this_thread::yield();
+          continue;
+        }
+        EXPECT_EQ(status, AdmitStatus::kAccepted);
+        if (query) {
+          ++mine.queries;
+        } else {
+          mine.pdps[{object, ap}].push_back(packet.pdp);
+          ++mine.observations;
+        }
+      }
+    });
+  }
+  for (std::thread& producer : producers) producer.join();
+  service->Flush();
+
+  std::size_t queries = 0, observations = 0, rejected = 0;
+  std::map<std::pair<std::uint64_t, int>, std::vector<double>> want;
+  for (Accepted& mine : accepted) {
+    queries += mine.queries;
+    observations += mine.observations;
+    rejected += mine.rejected;
+    want.merge(mine.pdps);
+  }
+  EXPECT_GT(rejected, 0u);
+
+  const std::vector<ServeResponse> responses = service->TakeResponses();
+  EXPECT_EQ(responses.size(), queries);
+  std::set<std::uint64_t> seqs;
+  for (const ServeResponse& response : responses)
+    EXPECT_TRUE(seqs.insert(response.seq).second) << "seq " << response.seq;
+
+  EXPECT_EQ(service->Store().Memory().observations, observations);
+  std::map<std::pair<std::uint64_t, int>, std::vector<double>> stored;
+  const common::Json checkpoint = service->Store().CheckpointJson();
+  for (const common::Json& session :
+       checkpoint.AsObject().at("sessions").AsArray()) {
+    const auto object = std::uint64_t(session.GetDouble("object_id").value());
+    for (const common::Json& anchor :
+         session.AsObject().at("anchors").AsArray()) {
+      std::vector<double>& pdps =
+          stored[{object, int(anchor.GetDouble("ap_id").value())}];
+      for (const common::Json& obs :
+           anchor.AsObject().at("observations").AsArray())
+        pdps.push_back(obs.GetDouble("pdp").value());
+    }
+  }
+  EXPECT_EQ(stored, want);
 }
 
 TEST_F(ServiceTest, DeadlineRejectedAtAdmission) {
@@ -302,6 +461,26 @@ TEST_F(ServiceTest, CorruptObservationsRejectedAtAdmission) {
   bad_weight.weight = 0.0;
   EXPECT_EQ(service->Ingest(bad_weight), AdmitStatus::kRejectedCorrupt);
   // A rejected observation never reaches the session store.
+  EXPECT_EQ(service->Store().SessionCount(), 0u);
+}
+
+// A non-finite measurement time would never age out (now - NaN and
+// now - inf are never past the TTL), pinning a dead judgement forever.
+TEST_F(ServiceTest, NonFiniteTimestampRejectedAsCorrupt) {
+  ServingConfig config;
+  config.store.anchor_ttl_s = 10.0;
+  auto service = MakeService(config);
+  clock_.Set(0.0);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  EXPECT_EQ(service->Ingest(Observation(1, 0, {1.0, 1.0}, 0.5, inf)),
+            AdmitStatus::kRejectedCorrupt);
+  EXPECT_EQ(service->Ingest(Observation(1, 1, {1.0, 1.0}, 0.5, nan)),
+            AdmitStatus::kRejectedCorrupt);
+  EXPECT_EQ(service->Ingest(Observation(1, 2, {1.0, 1.0}, 0.5, -inf)),
+            AdmitStatus::kRejectedCorrupt);
+  service->Flush();
+  service->SweepSessions(1e6);
   EXPECT_EQ(service->Store().SessionCount(), 0u);
 }
 

@@ -1,6 +1,9 @@
 #include "serving/session_store.h"
 
 #include <algorithm>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -419,6 +422,156 @@ TEST(SessionStore, MergeMissingKeepsLiveSessionsAndAddsTheRest) {
   EXPECT_EQ(target.CheckpointJson(only(5)).Dump(), live);
   EXPECT_EQ(target.CheckpointJson(only(6)).Dump(),
             source.CheckpointJson(only(6)).Dump());
+}
+
+// --- seeded op-stream golden ---------------------------------------------
+
+/// FNV-1a over the raw bytes of everything the store lets a caller see.
+struct Digest {
+  std::uint64_t hash = 0xcbf29ce484222325ULL;
+
+  void Bytes(const void* data, std::size_t size) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < size; ++i) {
+      hash ^= bytes[i];
+      hash *= 0x100000001b3ULL;
+    }
+  }
+  void Word(std::uint64_t value) { Bytes(&value, sizeof(value)); }
+  void Bits(double value) { Bytes(&value, sizeof(value)); }
+};
+
+std::uint64_t SplitMix(std::uint64_t& state) {
+  std::uint64_t x = (state += 0x9e3779b97f4a7c15ULL);
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+/// Replaces the first anchor's observation list with [] in the sessions at
+/// `positions` of a checkpoint, returning their object ids.
+std::vector<std::uint64_t> EmptyFirstAnchor(
+    common::Json& checkpoint, const std::vector<std::size_t>& positions) {
+  std::vector<std::uint64_t> ids;
+  common::JsonArray& sessions =
+      checkpoint.AsObject().at("sessions").AsArray();
+  for (const std::size_t position : positions) {
+    common::JsonObject& session = sessions.at(position).AsObject();
+    common::JsonArray& anchors = session.at("anchors").AsArray();
+    if (anchors.empty()) continue;
+    anchors[0].AsObject()["observations"] = common::Json(common::JsonArray{});
+    ids.push_back(std::uint64_t(session.at("object_id").AsDouble()));
+  }
+  return ids;
+}
+
+/// Drives one seeded op stream through a store and digests the IEEE bits of
+/// every snapshot, every sweep's eviction count and the final checkpoint
+/// bytes.  Times are multiples of 1/4 s, so `now - t` lands exactly on the
+/// TTL; timestamps trail `now` as delay injection makes them, and the clock
+/// sometimes jumps back.
+std::uint64_t OpStreamDigest(std::uint64_t seed) {
+  SessionStoreConfig config;
+  config.shards = 4;
+  config.anchor_ttl_s = 8.0;
+  config.session_idle_ttl_s = 40.0;
+  SessionStore store(config);
+  Digest digest;
+  std::uint64_t rng = seed;
+  const auto draw = [&](std::uint64_t n) { return SplitMix(rng) % n; };
+  double now_s = 0.0;
+
+  const auto snapshot = [&](std::uint64_t object_id) {
+    auto snap = store.Snapshot(object_id, now_s);
+    digest.Word(snap.ok());
+    if (!snap.ok()) return;
+    digest.Word(snap->live_keys);
+    digest.Word(snap->keys_ever);
+    digest.Bits(snap->last_touch_s);
+    for (const localization::Anchor& anchor : snap->anchors) {
+      digest.Bits(anchor.position.x);
+      digest.Bits(anchor.position.y);
+      digest.Bits(anchor.pdp);
+      digest.Word(anchor.is_nomadic_site);
+    }
+  };
+
+  for (int op = 0; op < 6000; ++op) {
+    const std::uint64_t tick = draw(100);
+    if (tick < 2)
+      now_s -= 20.0;  // backward clock jump
+    else if (tick < 60)
+      now_s += 0.25;
+    const std::uint64_t object_id = draw(24);
+    const std::uint64_t kind = draw(100);
+    if (kind < 55) {
+      double t_s = now_s - 0.25 * double(draw(12));
+      const std::uint64_t edge = draw(20);
+      if (edge == 0) t_s = now_s - config.anchor_ttl_s;  // exactly at the TTL
+      if (edge == 1) t_s = now_s - 3.0 * config.anchor_ttl_s;  // stale
+      const AnchorKey key{int(draw(4)), std::size_t(draw(3))};
+      store.Upsert(object_id, key,
+                   {double(draw(10)), 0.5 * double(draw(20))},
+                   key.site_index != 0,
+                   Obs(0.125 * double(1 + draw(64)), double(1 + draw(4)), t_s),
+                   now_s);
+    } else if (kind < 75) {
+      snapshot(object_id);
+    } else if (kind < 82) {
+      LastKnownGood lkg;
+      lkg.position = {double(draw(10)), double(draw(10))};
+      lkg.confidence = 0.125 * double(draw(9));
+      lkg.timestamp_s = now_s;
+      store.RecordEstimate(object_id, lkg, now_s);
+    } else if (kind < 93) {
+      digest.Word(store.SweepStep(std::size_t(draw(config.shards)), now_s,
+                                  std::size_t(1 + draw(8))));
+    } else if (kind < 97) {
+      digest.Word(store.SweepShard(std::size_t(draw(config.shards)), now_s));
+    } else {
+      digest.Word(store.SessionCount());
+    }
+
+    if (op == 3000) {
+      // A restored anchor with an empty observation list: the next prune
+      // must drop it — one session meets a snapshot first, the other a
+      // full sweep.
+      common::Json checkpoint = store.CheckpointJson();
+      const std::size_t sessions =
+          checkpoint.AsObject().at("sessions").AsArray().size();
+      EXPECT_GE(sessions, 2u);
+      const std::vector<std::uint64_t> emptied =
+          EmptyFirstAnchor(checkpoint, {0, sessions - 1});
+      EXPECT_EQ(emptied.size(), 2u);
+      auto restored = store.RestoreFromJson(checkpoint);
+      EXPECT_TRUE(restored.ok()) << restored.status().ToString();
+      digest.Word(restored.ok() ? *restored : 0);
+      const std::string dump = store.CheckpointJson().Dump();
+      digest.Bytes(dump.data(), dump.size());
+      if (emptied.size() == 2) {
+        snapshot(emptied[0]);
+        digest.Word(store.SweepShard(store.ShardOf(emptied[1]), now_s));
+        snapshot(emptied[1]);
+      }
+    }
+  }
+  const std::string dump = store.CheckpointJson().Dump();
+  digest.Bytes(dump.data(), dump.size());
+  return digest.hash;
+}
+
+// Pins what the store lets a caller observe over a long seeded op stream:
+// snapshots, sweep eviction counts and checkpoint bytes.  PruneSession's
+// early return for sessions with nothing old enough to expire must leave
+// every digest unchanged.
+TEST(SessionStoreGolden, SeededOpStreamDigest) {
+  const std::uint64_t want[] = {0x3b13852d004ec5baULL, 0xe89332fac2e4d489ULL,
+                               0x7fbdb60868a43dfcULL};
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    const std::uint64_t got = OpStreamDigest(seed);
+    EXPECT_EQ(got, want[seed - 1])
+        << "seed " << seed << " digest 0x" << std::hex << got;
+  }
 }
 
 TEST(SessionStore, RestoreRejectsCorruptCheckpointAndKeepsStore) {
