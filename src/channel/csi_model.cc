@@ -5,6 +5,7 @@
 
 #include "channel/propagation_cache.h"
 #include "common/assert.h"
+#include "common/metrics.h"
 #include "dsp/ofdm.h"
 #include "simd/kernels.h"
 
@@ -20,6 +21,25 @@ namespace {
 // as rng.ComplexGaussian(v) with sigma = sqrt(v / 2).
 Cplx ComplexNormal(common::Rng& rng, double sigma) {
   return {sigma * rng.Gaussian(), sigma * rng.Gaussian()};
+}
+
+// Writes the values that out.size() calls to rng.Gaussian() return, in
+// their order, and leaves `rng` where those calls would.  The uniform
+// pairs between a cached first variate and an odd last draw go through one
+// simd::BoxMuller call: its scalar entry is Gaussian()'s arithmetic, and a
+// vector entry moves only the last bits (simd/kernels.h).
+void FillGaussian(common::Rng& rng, std::span<double> out) {
+  std::size_t i = 0;
+  if (!out.empty() && rng.HasCachedGaussian()) out[i++] = rng.Gaussian();
+  const std::size_t pairs = (out.size() - i) / 2;
+  double* xs = out.data() + i;
+  for (std::size_t k = 0; k < pairs; ++k) {
+    xs[2 * k] = 1.0 - rng.Uniform();  // u1 in (0, 1], as Gaussian() draws.
+    xs[2 * k + 1] = rng.Uniform();
+  }
+  simd::BoxMuller(pairs, xs);
+  i += 2 * pairs;
+  if (i < out.size()) out[i] = rng.Gaussian();  // Caches its partner.
 }
 
 }  // namespace
@@ -53,6 +73,8 @@ LinkModel::LinkModel(std::vector<PropagationPath> paths,
     los_amp_.push_back(std::sqrt(k / (k + 1.0)));
     diffuse_sigma_.push_back(std::sqrt(diffuse_variance / 2.0));
   }
+  const double rho = config_.fading_correlation;
+  innovation_ = std::sqrt(1.0 - rho * rho);
   noise_variance_mw_ = common::DbmToMilliwatts(config_.noise_floor_dbm);
   NOMLOC_REQUIRE(noise_variance_mw_ >= 0.0);
   noise_sigma_ = std::sqrt(noise_variance_mw_ / 2.0);
@@ -110,10 +132,12 @@ std::vector<Cplx> LinkModel::DrawGains(common::Rng& rng) const {
 }
 
 CsiFrame LinkModel::Synthesize(std::span<const Cplx> gains,
-                               common::Rng* noise_rng, int antenna) const {
+                               std::span<const double> noise,
+                               int antenna) const {
   NOMLOC_REQUIRE(gains.empty() || gains.size() == paths_.size());
   NOMLOC_REQUIRE(antenna >= 0 && antenna < config_.rx_antennas);
   const std::size_t stride = subcarriers_.size();
+  NOMLOC_REQUIRE(noise.empty() || noise.size() == 2 * stride);
   const ToneTable& tones = Tones();
   const Cplx* carrier =
       tones.carrier.data() + std::size_t(antenna) * paths_.size();
@@ -137,8 +161,11 @@ CsiFrame LinkModel::Synthesize(std::span<const Cplx> gains,
   std::vector<Cplx> values(stride, Cplx(0.0, 0.0));
   simd::Interleave(stride, acc_re.data(), acc_im.data(), values.data());
 
-  if (noise_rng != nullptr) {
-    for (Cplx& v : values) v += ComplexNormal(*noise_rng, noise_sigma_);
+  if (!noise.empty()) {
+    for (std::size_t i = 0; i < stride; ++i) {
+      values[i] += Cplx(noise_sigma_ * noise[2 * i],
+                        noise_sigma_ * noise[2 * i + 1]);
+    }
   }
 
   auto frame = CsiFrame::Create(subcarriers_, std::move(values),
@@ -147,8 +174,35 @@ CsiFrame LinkModel::Synthesize(std::span<const Cplx> gains,
   return std::move(frame).value();
 }
 
+CsiFrame LinkModel::SamplePacket(common::Rng& rng, int antenna,
+                                 std::span<Cplx> diffuse, bool first) const {
+  const std::size_t paths = paths_.size();
+  // One packet's draws and gains, reused across packets on each thread
+  // (about 1 KB on a lab link).
+  thread_local std::vector<double> draws;
+  thread_local std::vector<Cplx> gains;
+  draws.resize(2 * (paths + subcarriers_.size()));
+  gains.resize(paths);
+  FillGaussian(rng, draws);
+
+  const double rho = config_.fading_correlation;
+  for (std::size_t p = 0; p < paths; ++p) {
+    // ComplexNormal(rng, diffuse_sigma_[p])'s value and rounding.
+    const Cplx z(diffuse_sigma_[p] * draws[2 * p],
+                 diffuse_sigma_[p] * draws[2 * p + 1]);
+    if (diffuse.empty()) {
+      gains[p] = Cplx(los_amp_[p], 0.0) + z;
+    } else {
+      diffuse[p] = first ? z : rho * diffuse[p] + innovation_ * z;
+      gains[p] = Cplx(los_amp_[p], 0.0) + diffuse[p];
+    }
+  }
+  return Synthesize(gains, std::span<const double>(draws).subspan(2 * paths),
+                    antenna);
+}
+
 CsiFrame LinkModel::Sample(common::Rng& rng) const {
-  return Synthesize(DrawGains(rng), &rng);
+  return SamplePacket(rng, 0, {}, false);
 }
 
 std::vector<CsiFrame> LinkModel::SampleBatch(std::size_t count,
@@ -156,31 +210,17 @@ std::vector<CsiFrame> LinkModel::SampleBatch(std::size_t count,
   NOMLOC_REQUIRE(count >= 1);
   const double rho = config_.fading_correlation;
   NOMLOC_REQUIRE(rho >= 0.0 && rho < 1.0);
-  std::vector<CsiFrame> out;
-  out.reserve(count);
-  if (rho == 0.0) {
-    for (std::size_t i = 0; i < count; ++i) out.push_back(Sample(rng));
-    return out;
-  }
-
+  static auto& synthesize_timer =
+      common::MetricRegistry::Global().Timer("channel.synthesize");
+  common::StageTrace trace(synthesize_timer);
   // AR(1) Gauss-Markov evolution of the *diffuse* fading component: the
   // deterministic Rician mean stays fixed, the scattered part decorrelates
   // at rate rho per packet, preserving the marginal distribution.
-  std::vector<Cplx> diffuse(paths_.size());
-  for (std::size_t p = 0; p < paths_.size(); ++p)
-    diffuse[p] = ComplexNormal(rng, diffuse_sigma_[p]);
-  const double innovation = std::sqrt(1.0 - rho * rho);
-  std::vector<Cplx> gains(paths_.size());
-  for (std::size_t i = 0; i < count; ++i) {
-    for (std::size_t p = 0; p < paths_.size(); ++p) {
-      if (i > 0) {
-        diffuse[p] = rho * diffuse[p] +
-                     innovation * ComplexNormal(rng, diffuse_sigma_[p]);
-      }
-      gains[p] = Cplx(los_amp_[p], 0.0) + diffuse[p];
-    }
-    out.push_back(Synthesize(gains, &rng));
-  }
+  std::vector<Cplx> diffuse(rho == 0.0 ? 0 : paths_.size());
+  std::vector<CsiFrame> out;
+  out.reserve(count);
+  for (std::size_t i = 0; i < count; ++i)
+    out.push_back(SamplePacket(rng, 0, diffuse, i == 0));
   return out;
 }
 
@@ -193,20 +233,39 @@ MimoCsiFrame LinkModel::SampleMimo(common::Rng& rng) const {
   MimoCsiFrame frame;
   frame.reserve(std::size_t(config_.rx_antennas));
   for (int antenna = 0; antenna < config_.rx_antennas; ++antenna)
-    frame.push_back(Synthesize(DrawGains(rng), &rng, antenna));
+    frame.push_back(SamplePacket(rng, antenna, {}, false));
   return frame;
 }
 
 std::vector<MimoCsiFrame> LinkModel::SampleMimoBatch(std::size_t count,
                                                      common::Rng& rng) const {
   NOMLOC_REQUIRE(count >= 1);
+  const double rho = config_.fading_correlation;
+  NOMLOC_REQUIRE(rho >= 0.0 && rho < 1.0);
+  static auto& synthesize_timer =
+      common::MetricRegistry::Global().Timer("channel.synthesize");
+  common::StageTrace trace(synthesize_timer);
+  // SampleBatch's AR(1) recursion with one diffuse state per antenna.
+  const std::size_t state = rho == 0.0 ? 0 : paths_.size();
+  std::vector<Cplx> diffuse(std::size_t(config_.rx_antennas) * state);
   std::vector<MimoCsiFrame> out;
   out.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) out.push_back(SampleMimo(rng));
+  for (std::size_t i = 0; i < count; ++i) {
+    MimoCsiFrame packet;
+    packet.reserve(std::size_t(config_.rx_antennas));
+    for (int antenna = 0; antenna < config_.rx_antennas; ++antenna) {
+      packet.push_back(SamplePacket(
+          rng, antenna,
+          std::span<Cplx>(diffuse).subspan(std::size_t(antenna) * state,
+                                           state),
+          i == 0));
+    }
+    out.push_back(std::move(packet));
+  }
   return out;
 }
 
-CsiFrame LinkModel::MeanResponse() const { return Synthesize({}, nullptr); }
+CsiFrame LinkModel::MeanResponse() const { return Synthesize({}, {}); }
 
 std::vector<Cplx> LinkModel::SampleImpulseResponse(
     common::Rng* rng, std::size_t max_taps, double lead_in_samples) const {

@@ -38,7 +38,8 @@ struct ChannelConfig {
   /// to model a truly static room whose multipath is temporally stable.
   double bounce_rician_k_db = -60.0;
   /// AR(1) correlation of the small-scale fading between consecutive
-  /// packets of a batch, in [0, 1).  0 = i.i.d. (fast fading / sparse
+  /// packets of a batch (SampleBatch, and each antenna of
+  /// SampleMimoBatch), in [0, 1).  0 = i.i.d. (fast fading / sparse
   /// sampling); values near 1 model packets sent well within the channel
   /// coherence time, which slows the averaging gain of large batches
   /// (bench/abl_coherence).
@@ -79,7 +80,8 @@ class LinkModel {
   /// uncorrelated fading, valid for >= lambda/2 spacing).
   MimoCsiFrame SampleMimo(common::Rng& rng) const;
 
-  /// `count` packets across every antenna.
+  /// `count` packets across every antenna; with fading_correlation > 0
+  /// each antenna's diffuse fading evolves as its own AR(1) process.
   std::vector<MimoCsiFrame> SampleMimoBatch(std::size_t count,
                                             common::Rng& rng) const;
 
@@ -111,9 +113,19 @@ class LinkModel {
 
  private:
   /// Builds a frame from explicit per-path complex gains (empty = unit
-  /// gains) with optional AWGN, for the given antenna index.
+  /// gains) for the given antenna index, adding AWGN from `noise`: two
+  /// standard normals per subcarrier (re, im), or none for a noise-free
+  /// frame.
   dsp::CsiFrame Synthesize(std::span<const dsp::Cplx> gains,
-                           common::Rng* noise_rng, int antenna = 0) const;
+                           std::span<const double> noise,
+                           int antenna = 0) const;
+  /// One packet on `antenna` from one block of Gaussian draws, in the
+  /// order the golden tests pin: two per path (the diffuse fading), then
+  /// two per subcarrier (the noise).  With `diffuse` empty the fading is
+  /// i.i.d.; otherwise `diffuse` is the antenna's AR(1) state per path,
+  /// which the `first` packet's draws seed and later packets' draws drive.
+  dsp::CsiFrame SamplePacket(common::Rng& rng, int antenna,
+                             std::span<dsp::Cplx> diffuse, bool first) const;
   /// Draws one i.i.d. Rician/Rayleigh gain per path.
   std::vector<dsp::Cplx> DrawGains(common::Rng& rng) const;
 
@@ -128,6 +140,9 @@ class LinkModel {
   /// sqrt((1/(K+1))/2).  Both are fixed per link, so packets only draw.
   std::vector<double> los_amp_;
   std::vector<double> diffuse_sigma_;
+  /// AR(1) innovation weight sqrt(1 - rho^2) of fading_correlation rho;
+  /// only batches read it, and they reject rho outside [0, 1).
+  double innovation_ = 1.0;
   /// Tables that depend on the link but not on the packet, built lazily on
   /// the first synthesized packet (links that are traced but never sampled
   /// skip the trigonometry) and shared across copies; afterwards packet

@@ -47,6 +47,9 @@ class Rng {
   std::uint64_t UniformInt(std::uint64_t n);
   /// Standard normal via Box–Muller (cached second variate).
   double Gaussian() noexcept;
+  /// True when the next Gaussian() returns the cached second variate of the
+  /// last Box–Muller pair instead of drawing a new pair.
+  bool HasCachedGaussian() const noexcept { return has_cached_gaussian_; }
   /// Normal with the given mean and standard deviation (sigma >= 0).
   double Gaussian(double mean, double sigma);
   /// Circularly-symmetric complex Gaussian with E[|z|^2] = variance.

@@ -159,6 +159,8 @@ const char* KernelName(KernelId id) {
       return "deinterleave";
     case KernelId::kInterleave:
       return "interleave";
+    case KernelId::kBoxMuller:
+      return "box_muller";
     case KernelId::kCount:
       break;
   }

@@ -19,6 +19,9 @@
 //   * Reduction kernels (dot, sum_norm, max_norm, mat_vec rows) reassociate
 //     the sum across lanes; results match scalar to a tested bound
 //     (tests/simd_kernels_test.cc).
+//   * box_muller evaluates log, sqrt and sin/cos.  Its scalar entry (also
+//     the SSE2 and NEON one) is bit-identical to common::Rng::Gaussian();
+//     its vector entries match the scalar entry within a tested ULP bound.
 #pragma once
 
 #include <atomic>
@@ -78,6 +81,11 @@ struct KernelTable {
   /// Split-complex -> interleaved copy.
   void (*interleave)(std::size_t n, const double* re, const double* im,
                      double* xs);
+  /// Box-Muller in place over `pairs` interleaved (u1, u2) pairs with u1
+  /// in (0, 1] and u2 in [0, 1): each pair becomes (r cos t, r sin t) with
+  /// r = sqrt(-2 log u1) and t = 2 pi u2.  Each output depends only on its
+  /// own pair, so any split of a batch gives the same bits.
+  void (*box_muller)(std::size_t pairs, double* xs);
 };
 
 /// The kernel table selected by runtime dispatch (dispatch.h).  First call
@@ -102,6 +110,7 @@ enum class KernelId : int {
   kCplxAxpy,
   kDeinterleave,
   kInterleave,
+  kBoxMuller,
   kCount
 };
 
@@ -229,6 +238,11 @@ inline void Interleave(std::size_t n, const double* re, const double* im,
                        std::complex<double>* xs) {
   detail::Count(KernelId::kInterleave);
   ActiveKernels().interleave(n, re, im, reinterpret_cast<double*>(xs));
+}
+
+inline void BoxMuller(std::size_t pairs, double* xs) {
+  detail::Count(KernelId::kBoxMuller);
+  ActiveKernels().box_muller(pairs, xs);
 }
 
 }  // namespace nomloc::simd

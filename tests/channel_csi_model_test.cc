@@ -3,13 +3,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
+#include <vector>
 
 #include "common/rng.h"
 #include "common/stats.h"
 #include "dsp/cir.h"
 #include "geometry/polygon.h"
+#include "simd/dispatch.h"
 
 namespace nomloc::channel {
 namespace {
@@ -202,14 +206,22 @@ TEST(LinkModel, EmptyPathListThrows) {
 
 TEST(FadingCoherence, CorrelatedBatchesVarySlowly) {
   const IndoorEnvironment env = EmptyRoom();
-  auto frame_power_step = [&](double rho, common::Rng& rng) {
+  // Mean absolute step of consecutive per-frame total powers, normalised
+  // by the power scale, over 200 packets: from SampleBatch when `antenna`
+  // is -1, otherwise from that antenna of a two-antenna SampleMimoBatch.
+  auto frame_power_step = [&](double rho, int antenna, common::Rng& rng) {
     ChannelConfig cfg;
     cfg.fading_correlation = rho;
     cfg.rician_k_db = 0.0;  // Rayleigh: maximal fading variance.
-    const CsiSimulator sim(env, cfg);
-    const auto batch = sim.MakeLink({1, 1}, {10, 6}).SampleBatch(200, rng);
-    // Mean absolute step of consecutive per-frame total powers,
-    // normalised by the power scale.
+    if (antenna >= 0) cfg.rx_antennas = 2;
+    const LinkModel link = CsiSimulator(env, cfg).MakeLink({1, 1}, {10, 6});
+    std::vector<dsp::CsiFrame> batch;
+    if (antenna < 0) {
+      batch = link.SampleBatch(200, rng);
+    } else {
+      for (MimoCsiFrame& packet : link.SampleMimoBatch(200, rng))
+        batch.push_back(std::move(packet[std::size_t(antenna)]));
+    }
     double step = 0.0, scale = 0.0;
     for (std::size_t i = 1; i < batch.size(); ++i) {
       step += std::abs(batch[i].TotalPower() - batch[i - 1].TotalPower());
@@ -217,8 +229,12 @@ TEST(FadingCoherence, CorrelatedBatchesVarySlowly) {
     }
     return step / scale;
   };
-  common::Rng r1(21), r2(21);
-  EXPECT_LT(frame_power_step(0.99, r1), 0.5 * frame_power_step(0.0, r2));
+  for (const int antenna : {-1, 0, 1}) {
+    common::Rng r1(21), r2(21);
+    EXPECT_LT(frame_power_step(0.99, antenna, r1),
+              0.5 * frame_power_step(0.0, antenna, r2))
+        << "antenna " << antenna;
+  }
 }
 
 TEST(FadingCoherence, MarginalPowerPreserved) {
@@ -346,12 +362,138 @@ TEST(LinkModel, NanVarianceThrowsBeforeAnyFrame) {
 
 TEST(FadingCoherence, InvalidCorrelationThrows) {
   const IndoorEnvironment env = EmptyRoom();
+  for (const double rho : {1.0, 1.5, -0.1}) {
+    ChannelConfig cfg;
+    cfg.fading_correlation = rho;
+    cfg.rx_antennas = 2;
+    const CsiSimulator sim(env, cfg);
+    const auto link = sim.MakeLink({1, 1}, {5, 5});
+    common::Rng rng(1);
+    EXPECT_THROW(link.SampleBatch(4, rng), std::logic_error) << rho;
+    EXPECT_THROW(link.SampleMimoBatch(4, rng), std::logic_error) << rho;
+  }
+}
+
+// Golden bits of the sampling entry points.  channel_measure_golden_test
+// pins eval::MeasureEpoch, which never calls Sample or SampleMimo and never
+// enters a batch holding a cached Gaussian.  Every case here starts from an
+// Rng that has made one Gaussian() call, so each packet's draws begin with
+// the cached variate and end on an odd draw.  Per case: an FNV-1a digest of
+// the frames' IEEE bits, captured with the scalar SIMD table forced, then
+// the Rng's next raw draw and the bits of its next Gaussian().
+struct SampleGolden {
+  std::uint64_t digest;
+  std::uint64_t next_raw;
+  std::uint64_t next_gaussian;
+};
+
+constexpr SampleGolden kSampleGoldens[] = {
+    // Sample; SampleBatch at rho 0 and 0.9; SampleMimo and
+    // SampleMimoBatch on two antennas at rho 0.
+    {0x077be1bd1bc5ccffULL, 0x2290dde2a6c24b5fULL, 0x3feedb279c50b438ULL},
+    {0x030adf423e66a903ULL, 0x6f820359d0f4ffc3ULL, 0x3fe0327c37b90725ULL},
+    {0x7644c939caa19484ULL, 0x6f820359d0f4ffc3ULL, 0x3fe0327c37b90725ULL},
+    {0xad937ef0a2946e46ULL, 0xfac492515cd15c6aULL, 0xc000bf6ced43dc04ULL},
+    {0x3636e1dd5b9312feULL, 0xd2be6da05415e18bULL, 0x3fe14edee30b6b39ULL},
+};
+
+std::uint64_t DigestFrame(std::uint64_t h, const dsp::CsiFrame& frame) {
+  for (const dsp::Cplx v : frame.Values()) {
+    for (const double x : {v.real(), v.imag()}) {
+      const auto bits = std::bit_cast<std::uint64_t>(x);
+      for (int shift = 0; shift < 64; shift += 8) {
+        h ^= (bits >> shift) & 0xff;
+        h *= 0x100000001b3ULL;
+      }
+    }
+  }
+  return h;
+}
+
+std::vector<SampleGolden> RunSampleCases() {
+  constexpr std::uint64_t kFnvBasis = 0xcbf29ce484222325ULL;
+  const IndoorEnvironment env = RoomWithMetalWall();
+  std::vector<SampleGolden> out;
+  auto primed = [](std::uint64_t seed) {
+    common::Rng rng(seed);
+    (void)rng.Gaussian();
+    return rng;
+  };
+  auto record = [&out](const common::Rng& rng, std::uint64_t digest) {
+    common::Rng raw = rng;
+    common::Rng gaussian = rng;
+    out.push_back({digest, raw(),
+                   std::bit_cast<std::uint64_t>(gaussian.Gaussian())});
+  };
+
   ChannelConfig cfg;
-  cfg.fading_correlation = 1.0;
-  const CsiSimulator sim(env, cfg);
-  const auto link = sim.MakeLink({1, 1}, {5, 5});
-  common::Rng rng(1);
-  EXPECT_THROW(link.SampleBatch(4, rng), std::logic_error);
+  {
+    const LinkModel link = CsiSimulator(env, cfg).MakeLink({1, 1}, {10, 6});
+    common::Rng rng = primed(101);
+    record(rng, DigestFrame(kFnvBasis, link.Sample(rng)));
+  }
+  for (const double rho : {0.0, 0.9}) {
+    cfg.fading_correlation = rho;
+    const LinkModel link = CsiSimulator(env, cfg).MakeLink({1, 1}, {10, 6});
+    common::Rng rng = primed(102);
+    std::uint64_t h = kFnvBasis;
+    for (const dsp::CsiFrame& frame : link.SampleBatch(5, rng))
+      h = DigestFrame(h, frame);
+    record(rng, h);
+  }
+  cfg.fading_correlation = 0.0;
+  cfg.rx_antennas = 2;
+  const LinkModel mimo = CsiSimulator(env, cfg).MakeLink({2, 7}, {11, 1});
+  {
+    common::Rng rng = primed(103);
+    std::uint64_t h = kFnvBasis;
+    for (const dsp::CsiFrame& frame : mimo.SampleMimo(rng))
+      h = DigestFrame(h, frame);
+    record(rng, h);
+  }
+  {
+    common::Rng rng = primed(104);
+    std::uint64_t h = kFnvBasis;
+    for (const MimoCsiFrame& packet : mimo.SampleMimoBatch(4, rng))
+      for (const dsp::CsiFrame& frame : packet) h = DigestFrame(h, frame);
+    record(rng, h);
+  }
+  return out;
+}
+
+class SampleGoldenTest : public ::testing::Test {
+ protected:
+  void TearDown() override { simd::ForceTarget(simd::ResolveTarget()); }
+};
+
+TEST_F(SampleGoldenTest, ScalarTableMatchesGoldenBits) {
+  simd::ForceTarget(simd::Target::kScalar);
+  const std::vector<SampleGolden> got = RunSampleCases();
+  ASSERT_EQ(got.size(), std::size(kSampleGoldens));
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].digest, kSampleGoldens[i].digest) << "case " << i;
+    EXPECT_EQ(got[i].next_raw, kSampleGoldens[i].next_raw) << "case " << i;
+    EXPECT_EQ(got[i].next_gaussian, kSampleGoldens[i].next_gaussian)
+        << "case " << i;
+  }
+}
+
+// A vector Box-Muller may move low bits of the draws but never how many
+// uniforms a packet consumes or which variate stays cached.
+TEST_F(SampleGoldenTest, RngPositionMatchesOnEveryTable) {
+  for (const simd::Target t : {simd::Target::kScalar, simd::Target::kSse2,
+                               simd::Target::kNeon, simd::Target::kAvx2}) {
+    if (!simd::TargetSupported(t)) continue;
+    simd::ForceTarget(t);
+    const std::vector<SampleGolden> got = RunSampleCases();
+    ASSERT_EQ(got.size(), std::size(kSampleGoldens));
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].next_raw, kSampleGoldens[i].next_raw)
+          << simd::TargetName(t) << " case " << i;
+      EXPECT_EQ(got[i].next_gaussian, kSampleGoldens[i].next_gaussian)
+          << simd::TargetName(t) << " case " << i;
+    }
+  }
 }
 
 }  // namespace

@@ -5,17 +5,21 @@
 //   * element-wise kernels are bit-identical to the scalar table on every
 //     target — each output lane runs the same mul/add sequence;
 //   * reduction kernels may reassociate across lanes and must match the
-//     scalar result within a small ULP/relative bound.
+//     scalar result within a small ULP/relative bound;
+//   * box_muller matches the scalar table within 4 ULP, and the scalar
+//     table matches common::Rng::Gaussian() bit for bit.
 // Lengths sweep across non-multiples of every lane width, inputs include
 // denormals, and NaN canaries beyond the logical length verify that no
 // kernel reads or writes past its bounds.
 #include "simd/kernels.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <complex>
 #include <cstdint>
 #include <limits>
+#include <numbers>
 #include <vector>
 
 #include "common/rng.h"
@@ -282,6 +286,117 @@ TEST_P(SimdKernelsTest, MaxAndSumNormWithinUlpBound) {
   }
 }
 
+// Interleaved Box-Muller input: (1 - Uniform(), Uniform()) pairs, the
+// draws Rng::Gaussian() makes.
+std::vector<double> UniformPairs(common::Rng& rng, std::size_t pairs) {
+  std::vector<double> xs(2 * pairs);
+  for (std::size_t k = 0; k < pairs; ++k) {
+    xs[2 * k] = 1.0 - rng.Uniform();
+    xs[2 * k + 1] = rng.Uniform();
+  }
+  return xs;
+}
+
+// Pairs at the edges of the vector log and sin/cos: u1 at the ends of
+// (0, 1] and around the sqrt(1/2) split of the log's reduction; u2 at the
+// ends of [0, 1) and within 50 ULP of k/4, where t = 2 pi u2 is near a
+// zero of sin or cos.
+std::vector<double> EdgePairs() {
+  constexpr double kEps = 0x1p-53;
+  const double sqrt_half = std::numbers::sqrt2 / 2.0;
+  const double split = std::bit_cast<double>(0x3fe6a09e00000000ULL);
+  std::vector<double> u1s = {1.0, kEps, 0.5, 1.0 - kEps};
+  for (const double c : {sqrt_half, split}) {
+    u1s.push_back(std::nextafter(c, 0.0));
+    u1s.push_back(c);
+    u1s.push_back(std::nextafter(c, 1.0));
+  }
+  std::vector<double> u2s = {0.0, 1.0 - kEps};
+  for (const double quarter : {0.25, 0.5, 0.75}) {
+    double below = quarter, above = quarter;
+    u2s.push_back(quarter);
+    for (int step = 0; step < 50; ++step) {
+      below = std::nextafter(below, 0.0);
+      above = std::nextafter(above, 1.0);
+      u2s.push_back(below);
+      u2s.push_back(above);
+    }
+  }
+  std::vector<double> xs;
+  for (const double u1 : u1s) {
+    for (const double u2 : u2s) {
+      xs.push_back(u1);
+      xs.push_back(u2);
+    }
+  }
+  return xs;
+}
+
+TEST_P(SimdKernelsTest, BoxMullerWithinUlpBound) {
+  common::Rng rng(0xb6);
+  std::vector<double> xs = UniformPairs(rng, std::size_t{1} << 20);
+  const std::vector<double> edges = EdgePairs();
+  xs.insert(xs.end(), edges.begin(), edges.end());
+  auto want = xs;
+  table_->box_muller(xs.size() / 2, xs.data());
+  scalar_->box_muller(want.size() / 2, want.data());
+  std::int64_t worst = 0;
+  std::size_t worst_at = 0;
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    const std::int64_t ulps = UlpDiff(xs[i], want[i]);
+    if (ulps > worst) {
+      worst = ulps;
+      worst_at = i;
+    }
+  }
+  EXPECT_LE(worst, 4) << "output " << worst_at << ": got " << xs[worst_at]
+                      << " want " << want[worst_at];
+}
+
+TEST_P(SimdKernelsTest, BoxMullerSplitInvariant) {
+  // Each output depends only on its own pair: short calls, and any
+  // partition of a batch into consecutive calls, reproduce one call's bits.
+  common::Rng rng(0xb7);
+  const std::vector<double> in = UniformPairs(rng, 41);
+  auto whole = in;
+  table_->box_muller(in.size() / 2, whole.data());
+  for (std::size_t pairs = 0; pairs <= 9; ++pairs) {
+    auto part = in;
+    table_->box_muller(pairs, part.data());
+    for (std::size_t i = 0; i < 2 * pairs; ++i)
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(part[i]),
+                std::bit_cast<std::uint64_t>(whole[i]))
+          << pairs << " pairs, output " << i;
+    for (std::size_t i = 2 * pairs; i < part.size(); ++i)
+      EXPECT_EQ(part[i], in[i]) << pairs << " pairs wrote output " << i;
+  }
+  for (int trial = 0; trial < 20; ++trial) {
+    auto split = in;
+    for (std::size_t at = 0; at < in.size() / 2;) {
+      const std::size_t len =
+          std::min<std::size_t>(1 + rng.UniformInt(9), in.size() / 2 - at);
+      table_->box_muller(len, split.data() + 2 * at);
+      at += len;
+    }
+    for (std::size_t i = 0; i < in.size(); ++i)
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(split[i]),
+                std::bit_cast<std::uint64_t>(whole[i]))
+          << "trial " << trial << ", output " << i;
+  }
+}
+
+TEST(BoxMullerScalar, MatchesRngGaussianBitForBit) {
+  common::Rng draws(0xb8), reference(0xb8);
+  constexpr std::size_t kPairs = 100000;
+  std::vector<double> xs = UniformPairs(draws, kPairs);
+  detail::ScalarKernels().box_muller(kPairs, xs.data());
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(xs[i]),
+              std::bit_cast<std::uint64_t>(reference.Gaussian()))
+        << "output " << i;
+  }
+}
+
 TEST_P(SimdKernelsTest, NoReadOrWriteBeyondLength) {
   // Inputs carry NaN canaries immediately after the logical length; output
   // canaries use a sentinel.  A kernel that touches the padding either
@@ -317,6 +432,15 @@ TEST_P(SimdKernelsTest, NoReadOrWriteBeyondLength) {
     table_->axpy(n, 0.5, a.data(), y.data());
     for (std::size_t i = 0; i < n; ++i) EXPECT_TRUE(std::isfinite(y[i]));
     for (std::size_t i = n; i < n + kPad; ++i) EXPECT_EQ(y[i], kSentinel);
+
+    // In place over n pairs: the 2n doubles after them stay untouched.
+    std::vector<double> pairs = UniformPairs(rng, n);
+    pairs.resize(4 * n + kPad, kSentinel);
+    table_->box_muller(n, pairs.data());
+    for (std::size_t i = 0; i < 2 * n; ++i)
+      EXPECT_TRUE(std::isfinite(pairs[i]));
+    for (std::size_t i = 2 * n; i < pairs.size(); ++i)
+      EXPECT_EQ(pairs[i], kSentinel);
   }
 }
 
