@@ -1,14 +1,11 @@
-// Shared helpers for the figure-reproduction benches: standard run
-// configurations, paper-style series printers, and the machine-readable
-// --json report format shared by the perf benches (BENCH_*.json).
+// Shared helpers for the figure-reproduction benches: the standard run
+// configuration and paper-style series printers.
 #pragma once
 
 #include <cstdio>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "common/json.h"
 #include "common/stats.h"
 #include "common/strings.h"
 #include "eval/runner.h"
@@ -41,54 +38,6 @@ inline void PrintCdf(const std::string& label,
   std::printf("    mean %.2f m, median %.2f m, 90th pct %.2f m\n",
               common::Mean(errors), common::Percentile(errors, 0.5),
               common::Percentile(errors, 0.9));
-}
-
-/// One cold-vs-warm timing pair from a perf bench.  `cold_ms`/`warm_ms`
-/// are totals over `iterations` repetitions.
-struct BenchTiming {
-  std::string name;
-  double cold_ms = 0.0;
-  double warm_ms = 0.0;
-  std::size_t iterations = 0;
-};
-
-inline double SpeedUp(const BenchTiming& t) {
-  return t.warm_ms > 0.0 ? t.cold_ms / t.warm_ms : 0.0;
-}
-
-/// The shared --json report: deterministic key order (JsonObject is a
-/// std::map), so snapshots diff cleanly.  `extra` entries (e.g. cache
-/// counter readings) are merged into the top-level object.
-inline common::Json BenchReportJson(const std::string& bench, bool quick,
-                                    const std::vector<BenchTiming>& series,
-                                    common::JsonObject extra = {}) {
-  common::JsonArray rows;
-  for (const BenchTiming& t : series) {
-    common::JsonObject row;
-    row["name"] = t.name;
-    row["iterations"] = t.iterations;
-    row["cold_ms"] = t.cold_ms;
-    row["warm_ms"] = t.warm_ms;
-    row["speedup"] = SpeedUp(t);
-    rows.push_back(common::Json(std::move(row)));
-  }
-  common::JsonObject root;
-  root["bench"] = bench;
-  root["quick"] = quick;
-  root["series"] = common::Json(std::move(rows));
-  for (auto& [key, value] : extra) root[key] = std::move(value);
-  return common::Json(std::move(root));
-}
-
-/// Prints a timing series as an ASCII table (the human-readable twin of
-/// BenchReportJson).
-inline void PrintTimings(const std::vector<BenchTiming>& series) {
-  std::printf("  %-28s %10s %10s %8s\n", "series", "cold [ms]", "warm [ms]",
-              "speedup");
-  for (const BenchTiming& t : series) {
-    std::printf("  %-28s %10.3f %10.3f %7.2fx\n", t.name.c_str(), t.cold_ms,
-                t.warm_ms, SpeedUp(t));
-  }
 }
 
 /// Prints per-site bars (index, value, bar) — the Fig. 7 layout.

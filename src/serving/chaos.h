@@ -14,9 +14,9 @@
 //   * after the last fault clears (plus one TTL), accuracy returns to
 //     within a few percent of the fault-free run.
 //
-// bench/bench_resilience measures recovery latency — logical time from
-// fault clearance to the first full-fidelity (kNone) response — over the
-// same harness.
+// `nomloc_serve --chaos SEED` reports recovery latency — logical time
+// from fault clearance to the first full-fidelity (kNone) response — over
+// the same harness.
 #pragma once
 
 #include <cstdint>

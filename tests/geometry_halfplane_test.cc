@@ -91,6 +91,15 @@ TEST(ClipLoop, DiagonalCutMakesTriangle) {
   const auto clipped = ClipLoop(square, {{1.0, 1.0}, 1.0});
   EXPECT_EQ(clipped.size(), 3u);
   EXPECT_NEAR(std::abs(SignedArea(clipped)), 0.5, 1e-12);
+
+  // The same square starting at (0,1): the last edge re-enters through the
+  // first vertex, so the crossing it emits closes the loop and is dropped.
+  const Vec2 rotated[] = {{0.0, 1.0}, {0.0, 0.0}, {1.0, 0.0}, {1.0, 1.0}};
+  const auto triangle = ClipLoop(rotated, {{1.0, 1.0}, 1.0});
+  ASSERT_EQ(triangle.size(), 3u);
+  EXPECT_EQ(triangle[0], (Vec2{0.0, 1.0}));
+  EXPECT_EQ(triangle[1], (Vec2{0.0, 0.0}));
+  EXPECT_EQ(triangle[2], (Vec2{1.0, 0.0}));
 }
 
 TEST(ClipLoop, EmptyInputStaysEmpty) {

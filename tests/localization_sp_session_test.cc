@@ -154,27 +154,47 @@ TEST(SpSessionIncremental, MatchesBatchOnNonConvexFloor) {
 TEST(SpSessionIncremental, DegenerateRegionPinch) {
   // Two parallel bisectors squeeze the region to a sliver, then conflict
   // outright; the session must track the batch through the transition.
+  auto& fastpath =
+      common::MetricRegistry::Global().Counter("solver.fastpath_hits");
   const auto parts = OneRoom();
   const SpSolverOptions options;
   SpSolverSession session(parts, options);
 
-  // zx <= 5 (closer to (4,4) than (6,4)), then increasingly tight from
-  // the right until contradiction.
-  std::vector<SpConstraint> first{{HalfPlane::CloserTo({4, 4}, {6, 4}), 1.0,
-                                   false}};
+  // zx <= 5 (closer to (4,4) than (6,4)), then zx >= x - 1 (closer to
+  // (x,4) than (x-2,4)) for rising x: the strip [x-1, 5] narrows to a
+  // 1e-8 sliver, whose 8e-8 m^2 is below fastpath_min_area, and then
+  // contradicts the first plane.
+  const std::vector<SpConstraint> first{
+      {HalfPlane::CloserTo({4, 4}, {6, 4}), 1.0, false}};
+  const auto left_of = [](double x) {
+    return std::vector<SpConstraint>{
+        {HalfPlane::CloserTo({x, 4.0}, {x - 2.0, 4.0}), 1.3, false}};
+  };
+  constexpr double kSliver = 6.0 - 1e-8;
   ASSERT_TRUE(session.AddConstraints(first).ok());
-  for (double x : {8.0, 7.0, 6.0, 5.2, 5.05, 4.8, 4.0}) {
-    // Closer to (x-2, 4) than ... mirrored pair pushing from the left:
-    // keeps x >= x-1 roughly; final ones contradict the first constraint.
-    std::vector<SpConstraint> c{{HalfPlane::CloserTo({x, 4.0}, {x - 2.0, 4.0}),
-                                 1.3, false}};
-    ASSERT_TRUE(session.AddConstraints(c).ok());
+  for (double x : {4.0, 5.0, 5.9, kSliver, 6.2}) {
+    const auto fast_before = fastpath.Value();
+    ASSERT_TRUE(session.AddConstraints(left_of(x)).ok());
     auto got = session.Solve();
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     auto want = SolveSp(parts, session.ActiveConstraints(), options);
     ASSERT_TRUE(want.ok());
     ExpectEquivalent(*got, *want, "pinch");
+    EXPECT_EQ(fastpath.Value() > fast_before, x < 5.95) << "x " << x;
   }
+
+  // A fresh session handed the sliver before its first Solve builds its
+  // geometry from scratch, and must decline the fast path there too.
+  SpSolverSession fresh(parts, options);
+  ASSERT_TRUE(fresh.AddConstraints(first).ok());
+  ASSERT_TRUE(fresh.AddConstraints(left_of(kSliver)).ok());
+  const auto fast_before = fastpath.Value();
+  auto got = fresh.Solve();
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  auto want = SolveSp(parts, fresh.ActiveConstraints(), options);
+  ASSERT_TRUE(want.ok());
+  ExpectEquivalent(*got, *want, "fresh sliver");
+  EXPECT_EQ(fastpath.Value(), fast_before);
 }
 
 TEST(SpSessionIncremental, FastpathAndWarmCountersMove) {

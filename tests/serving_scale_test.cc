@@ -1,9 +1,9 @@
 // Serving-at-scale smoke: stands up 10k sessions through the real
 // service with a loadgen schedule and checks the memory contract
 // (bytes/session within the per-shard budget model), pressure eviction,
-// and the incremental sweep.  The full 100k/1M sweep lives in
-// bench_serving --open-loop; this is the ctest-sized slice (label
-// `serving-scale`, also run under NOMLOC_SANITIZE=thread).
+// and the incremental sweep.  perfbench's serve_1m workload runs the 1M
+// session load; this is the ctest-sized slice (label `serving-scale`,
+// also run under NOMLOC_SANITIZE=thread).
 #include <algorithm>
 #include <memory>
 
@@ -107,6 +107,32 @@ TEST(ServingScale, PressureEvictionHoldsShardUnderBudget) {
   // Sampled LRU: the most recently touched sessions should largely have
   // survived; the newest one is always protected.
   EXPECT_TRUE(store.Snapshot(499, 499.0).ok());
+
+  // A shard with holes: fill it to 40 KiB of a 64 KiB budget, erase every
+  // other session, then grow the survivors' histories until the budget
+  // bites.  The sampled-LRU draws now land on freed slab slots and must
+  // walk on to a live one.
+  SessionStoreConfig holed_config = config;
+  holed_config.shard_bytes_budget = 64 * 1024;
+  SessionStore holed(holed_config);
+  std::uint64_t sessions = 0;
+  double now = 0.0;
+  for (; holed.Memory().live_bytes < 40 * 1024; ++sessions, now += 1.0)
+    holed.Upsert(sessions, {0, 0}, {1.0, 1.0}, false, Obs(0.5, 1.0, now),
+                 now);
+  for (std::uint64_t id = 0; id < sessions; id += 2)
+    ASSERT_TRUE(holed.Erase(id));
+
+  const auto holed_before = pressure.Value();
+  std::uint64_t touched = 1;
+  for (std::uint64_t k = 0; k < 100'000 && pressure.Value() == holed_before;
+       ++k, now += 1.0) {
+    touched = 1 + 2 * (k % (sessions / 2));
+    holed.Upsert(touched, {0, 0}, {1.0, 1.0}, false, Obs(0.5, 1.0, now), now);
+  }
+  EXPECT_GT(pressure.Value(), holed_before);
+  EXPECT_LE(holed.Memory().live_bytes, holed_config.shard_bytes_budget);
+  EXPECT_TRUE(holed.Contains(touched));
 }
 
 TEST(ServingScale, UnlimitedBudgetNeverEvictsForPressure) {

@@ -35,7 +35,7 @@ for san in $sanitizers; do
         -DNOMLOC_SANITIZE="$sanitize" -DNOMLOC_BUILD_BENCH=OFF \
         -DNOMLOC_BUILD_EXAMPLES=OFF >/dev/null
   echo "== $san: building"
-  cmake --build "$build" -j >/dev/null
+  cmake --build "$build" -j "$(nproc)" >/dev/null
   echo "== $san: ctest -L sanitize-smoke"
   ctest --test-dir "$build" -L sanitize-smoke --output-on-failure
   case "$san" in
