@@ -1,155 +1,226 @@
-// Deterministic shard-level chaos harness for the cluster layer.
+// The deterministic chaos engine for the serving and cluster layers.
 //
-// Where serving/chaos.h perturbs the *data* plane (anchor death, trace
-// corruption), this harness perturbs the *topology*: shard kills with
-// later checkpoint-restores, live migrations, and transport stalls, all
-// drawn from a seeded schedule over a ReplayPlan's timeline.  A run is a
-// pure function of (plan, chaos config, cluster config), so every seed is
-// a reproducible topology-failure scenario.
+// A schedule of fault events is replayed over a ReplayPlan's timeline
+// against one of two targets, driven on a ManualClock.  The target picks
+// the vocabulary its schedules draw from:
 //
-// The ctest suite (labels `cluster` + `chaos`) replays several seeds and
-// asserts the resilience invariants:
+//   * a StreamingLocalizer takes the data-plane kinds: anchor death and
+//     flap, trace corruption, clock jumps, queue saturation;
+//   * a Cluster takes the topology kinds: shard kills with later
+//     checkpoint-restores, live migrations, transport stalls, crash kills.
 //
-//   * no crash, and exactly one response per accepted query — events fire
-//     on flushed epoch boundaries, so no in-flight work is ever lost
-//     (except kShardKillUnclean, which deliberately crashes between a
-//     group's write and its flush — replication + WAL replay must then
-//     prove that *still* nothing accepted was lost);
-//   * monotone degradation: while a shard is down its packets reroute to
-//     the next shard in rendezvous preference order (or reject with a
-//     typed verdict) — they are never silently dropped;
-//   * post-recovery parity: after the last event clears, tail-epoch
-//     accuracy returns to the fault-free run's.
+// Building a schedule (BuildChaosSchedule, seeded) is separate from
+// running one (RunChaosSchedule), so a caller can also run a hand-built
+// schedule: `nomloc_cluster --migrate`, `--kill` and `--kill-primary` each
+// add one event.  A run is a pure function of (plan, schedule, target
+// config), so every seed is a reproducible failure scenario.
+//
+// The replay loop steps the clock to each same-timestamp group, ingests
+// the group and flushes it, so every serve runs at its group's logical
+// time and events fire on drained boundaries.  Crash kills are the one
+// exception: they fire after their trigger group is written and before
+// it is flushed, so bytes in flight to the primary die unapplied.
+//
+// With check_parity an unsharded golden StreamingLocalizer is fed the
+// accepted packets in lockstep, and every response is compared with its
+// twin as raw bits: status, degradation, degraded, anchor_count and the
+// five doubles.  Responses the golden lacks, and golden responses the
+// target lost, count as mismatches too.
+//
+// The ctest suites (label `chaos`) replay several seeds and assert the
+// resilience invariants:
+//
+//   * no crash, and exactly one response per accepted query;
+//   * every response carries a valid DegradationLevel, and its
+//     confidence is capped by that rung's scale;
+//   * packets a dead shard cannot take reroute along the rendezvous
+//     preference order or reject with a typed verdict, never vanish;
+//   * after the last event clears, accuracy returns to the fault-free
+//     run's;
+//   * with replication on, crash kills and migrations keep bit parity.
+//
+// `nomloc_serve --chaos SEED` and `nomloc_cluster --chaos [SEED]` replay
+// one seed from the command line.
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <string>
 #include <string_view>
+#include <variant>
 #include <vector>
 
 #include "cluster/cluster.h"
+#include "common/degradation.h"
 #include "common/status.h"
 #include "serving/replay.h"
+#include "serving/service.h"
 
 namespace nomloc::cluster {
 
-enum class ClusterChaosEventKind {
-  /// Checkpoint + kill at start_s; restart-with-restore at end_s.
+enum class ChaosKind : std::uint8_t {
+  // Data-plane vocabulary (StreamingLocalizer target).
+  kAnchorDeath,      ///< An AP goes silent for the window (packets dropped).
+  kAnchorFlap,       ///< An AP alternates up/down with period `magnitude`.
+  kTraceCorruption,  ///< An AP's reports are scribbled with NaN PDPs.
+  /// The next timestamp group runs `magnitude` seconds off the timeline;
+  /// the clock resyncs after it.
+  kClockJump,
+  /// `magnitude` filler packets flood the queues, then drain.
+  kQueueSaturation,
+  // Topology vocabulary (Cluster target).
+  /// Checkpoint + Kill at start_s; Restart(restore) at end_s.
   kShardKill,
   /// Live migration (drain, filtered checkpoint, host swap) at start_s.
   kShardMigrate,
-  /// Ingest-direction transport stall over [start_s, end_s): packets queue
-  /// in the pipe and overflow as typed backpressure.  The harness clears
-  /// the stall before each epoch flush (a flush through a stalled pipe
-  /// would never ack) and re-applies it while the window lasts.
+  /// Ingest-direction transport stall over [start_s, end_s): packets
+  /// queue in the pipe and overflow as typed backpressure.  The stall is
+  /// cleared before each flush (a flush through a stalled pipe would
+  /// never ack) and applied again while the window lasts.
   kTransportStall,
-  /// Crash kill: NO checkpoint is taken, and the kill deliberately lands
-  /// mid-epoch OFF the flushed boundary — it fires after the trigger
-  /// group's packets were written but before that group is flushed, so
-  /// bytes in flight to the primary die unapplied (the replicate stream
-  /// to the standby keeps them).  The window ends with Recover(): WAL
-  /// replay + anti-entropy repair, never a graceful drain.  Meaningful
-  /// with ClusterConfig::replicate and/or durable_dir.
+  /// Crash kill with no checkpoint, fired after the trigger group is
+  /// written and before it is flushed; Recover() (WAL replay +
+  /// anti-entropy repair) at end_s.  Meaningful with
+  /// ClusterConfig::replicate and/or durable_dir.
   kShardKillUnclean,
 };
+inline constexpr std::size_t kChaosKindCount = 9;
 
-std::string_view ClusterChaosEventKindName(
-    ClusterChaosEventKind kind) noexcept;
+std::string_view ChaosKindName(ChaosKind kind) noexcept;
 
-struct ClusterChaosEvent {
-  ClusterChaosEventKind kind = ClusterChaosEventKind::kShardKill;
-  std::size_t shard = 0;
+enum class ChaosVocabulary { kDataPlane, kTopology };
+
+struct ChaosEvent {
+  ChaosKind kind = ChaosKind::kAnchorDeath;
   double start_s = 0.0;
-  double end_s = 0.0;  ///< Migrations are instantaneous: end_s == start_s.
+  double end_s = 0.0;  ///< Instantaneous events have end_s == start_s.
+  /// The AP id (anchor kinds) or the shard (topology kinds).
+  std::size_t target = 0;
+  /// kClockJump: signed jump [s].  kAnchorFlap: up/down period [s].
+  /// kQueueSaturation: burst size in packets.
+  double magnitude = 0.0;
 };
 
-struct ClusterChaosConfig {
-  std::uint64_t seed = 1;
-  std::size_t events = 4;
-  /// Event-kind mix (relative weights; zero disables a kind).
-  double kill_weight = 3.0;
-  double migrate_weight = 2.0;
-  double stall_weight = 2.0;
-  /// Crash kills (kShardKillUnclean); off by default so pre-replication
-  /// seeds reproduce bit-identically.
-  double kill_unclean_weight = 0.0;
-  /// Kill / stall windows last up to this many epoch intervals.
-  double max_window_epochs = 2.0;
-  /// Run an unsharded golden localizer over the *accepted* packets in
-  /// lockstep and bit-compare every response against the cluster's.  The
-  /// replication invariant: with replicate on and a mix of unclean kills
-  /// + migrations (no clean kills — Restart(restore) legitimately drops
-  /// post-checkpoint sessions), every mismatch is a bug.
-  bool check_parity = false;
-
-  common::Result<void> Validate() const;
-};
-
-struct ClusterChaosSchedule {
-  std::vector<ClusterChaosEvent> events;  ///< Sorted by start_s.
+struct ChaosSchedule {
+  std::vector<ChaosEvent> events;  ///< Sorted by start_s.
   double last_event_end_s = 0.0;
 };
 
-/// Derives the deterministic event schedule for one replay plan.  Targets
-/// are drawn from [0, shards); windows snap to the epoch grid so every
-/// event fires on a flushed boundary.
-ClusterChaosSchedule BuildClusterChaosSchedule(
-    const ClusterChaosConfig& config, const serving::ReplayPlan& plan,
-    double epoch_interval_s, std::size_t shards);
+struct ChaosConfig {
+  /// Defaults for one vocabulary: six data-plane or four topology events.
+  explicit ChaosConfig(
+      ChaosVocabulary vocabulary = ChaosVocabulary::kDataPlane) noexcept
+      : events(vocabulary == ChaosVocabulary::kDataPlane ? 6 : 4) {}
+
+  std::uint64_t seed = 1;
+  /// Fault events drawn over the replay window.
+  std::size_t events;
+  /// Relative draw weight per kind (zero disables a kind); each
+  /// vocabulary draws from its own slice.  Crash kills are off by
+  /// default, so seeds drawn before they existed reproduce bit-identically.
+  std::array<double, kChaosKindCount> weights = {3.0, 2.0, 3.0, 1.0, 1.0,
+                                                 3.0, 2.0, 2.0, 0.0};
+  /// Run the golden twin and bit-compare every response (see above).
+  /// With replicate on and a mix of crash kills and migrations, every
+  /// mismatch is a bug; a clean kill's Restart(restore) legitimately
+  /// drops post-checkpoint sessions.
+  bool check_parity = false;
+
+  double& Weight(ChaosKind kind) { return weights[std::size_t(kind)]; }
+  common::Result<void> Validate(ChaosVocabulary vocabulary) const;
+};
+
+/// Draws the deterministic event schedule for one replay plan from
+/// `vocabulary`.  `targets` is the anchor count (data plane) or the shard
+/// count (topology).  Data-plane windows land in the run's first 70%;
+/// topology events start on epoch boundaries there (crash kills mid-epoch,
+/// one per trigger epoch) and close by the second-to-last epoch, so the
+/// tail always measures post-recovery behaviour.
+ChaosSchedule BuildChaosSchedule(const ChaosConfig& config,
+                                 ChaosVocabulary vocabulary,
+                                 const serving::ReplayPlan& plan,
+                                 double epoch_interval_s,
+                                 std::size_t targets);
+
+/// What a run drives: one StreamingLocalizer (data-plane vocabulary) or a
+/// Cluster (topology vocabulary).  The harness forces the ManualClock and
+/// the plan's anchor TTL and expected anchor count onto the serving config.
+using ChaosTarget = std::variant<serving::ServingConfig, ClusterConfig>;
 
 /// One query's outcome, joined against the plan's golden truth.
-struct ClusterChaosOutcome {
+struct ChaosOutcome {
   std::uint64_t object_id = 0;
   std::size_t epoch = 0;
   double timestamp_s = 0.0;
-  std::uint8_t status = 0;       ///< serving::ServeStatus.
-  std::uint8_t degradation = 0;  ///< common::DegradationLevel.
+  serving::ServeStatus status = serving::ServeStatus::kOk;
+  common::DegradationLevel degradation = common::DegradationLevel::kNone;
   double confidence = 0.0;
   /// Distance to the epoch's true position [m]; meaningful when status
   /// is kOk.
   double error_m = 0.0;
 };
 
-struct ClusterChaosReport {
-  ClusterChaosSchedule schedule;
-  std::vector<ClusterChaosOutcome> outcomes;
-  /// Topology-event tallies (as executed, not just scheduled).
-  std::size_t kills = 0;
-  std::size_t restores = 0;
-  std::size_t migrations = 0;
-  std::size_t stall_windows = 0;
-  /// Crash kills executed and Recover() completions (unclean windows).
-  std::size_t kills_unclean = 0;
-  std::size_t recoveries = 0;
-  /// Admission tallies over the whole stream.
-  std::size_t admit_accepted = 0;
-  std::size_t admit_rejected_backpressure = 0;
-  std::size_t admit_rejected_breaker = 0;
-  std::size_t admit_rejected_deadline = 0;
+struct ChaosReport {
+  ChaosSchedule schedule;
+  std::vector<ChaosOutcome> outcomes;  ///< Sorted by (timestamp, object).
+  /// As executed, per kind: anchor kinds count the packets they ate or
+  /// corrupted, every other kind the events that fired.
+  std::array<std::size_t, kChaosKindCount> executed{};
+  /// Windows closed by their recovery action, per kind: Restart(restore)
+  /// for kShardKill, Recover() for kShardKillUnclean.
+  std::array<std::size_t, kChaosKindCount> recovered{};
+  /// Admission verdicts over the replayed stream (filler excluded).
+  std::array<std::size_t, serving::kAdmitStatusCount> admitted{};
   /// Accepted queries (every one must produce exactly one outcome).
   std::size_t accepted_queries = 0;
-  /// Mean kOk error over epochs strictly after the last event cleared;
-  /// negative when no such epoch produced a kOk response.
+  /// Responses per degradation rung (index = level).
+  std::array<std::size_t, 4> degradation_counts{};
+  /// Logical time from the last event clearing to the first later
+  /// full-fidelity (kOk, kNone) response; negative when there is none or
+  /// nothing was scheduled.
+  double recovery_latency_s = -1.0;
+  /// Mean kOk error over responses strictly after the last event cleared;
+  /// negative when there is none.
   double tail_mean_error_m = -1.0;
-  /// Golden bit-parity (check_parity): responses compared, and the count
-  /// of mismatches — bit-different fields, cluster responses the golden
-  /// never produced, or golden responses the cluster lost.  A clean run
-  /// has parity_checked && parity_mismatches == 0.
+  /// check_parity: responses compared and mismatches.  A clean run has
+  /// parity_checked && parity_mismatches == 0.
   bool parity_checked = false;
   std::size_t parity_compared = 0;
   std::size_t parity_mismatches = 0;
+  /// The first mismatch: its object, time, and the fields that differ.
+  std::string first_mismatch;
+
+  std::size_t Executed(ChaosKind kind) const noexcept {
+    return executed[std::size_t(kind)];
+  }
+  std::size_t Recovered(ChaosKind kind) const noexcept {
+    return recovered[std::size_t(kind)];
+  }
+  std::size_t Admitted(serving::AdmitStatus status) const noexcept {
+    return admitted[std::size_t(status)];
+  }
 };
 
-/// Replays `plan` through a fresh Cluster while applying the schedule.
-/// The harness drives router admission on a ManualClock stepped to each
-/// timestamp group and flushes every group, so events fire on drained
-/// boundaries — except unclean kills, which fire between a group's
-/// ingest and its flush.  Fully deterministic for a given configuration:
-/// an unclean kill's in-flight loss is nondeterministic per host, but
-/// the post-failover state is donor-authoritative (the standby saw every
-/// accepted observation synchronously), so responses are not.
-common::Result<ClusterChaosReport> RunClusterChaos(
-    const core::NomLocEngine& engine, const serving::ReplayPlan& plan,
-    double epoch_interval_s, const ClusterChaosConfig& chaos,
-    ClusterConfig cluster_config);
+/// Replays `plan` through a fresh target while applying `schedule` (sorted
+/// here).  Every event must belong to the target's vocabulary, and shard
+/// targets must exist.  Deterministic for a given configuration: a crash
+/// kill's in-flight loss varies per host, but the post-failover state is
+/// donor-authoritative (the standby saw every accepted observation
+/// synchronously), so responses do not.  The exception is a loopback pipe
+/// smaller than a group's frames: the router's writes then race the host
+/// reader, and admission counts vary from run to run.
+common::Result<ChaosReport> RunChaosSchedule(const core::NomLocEngine& engine,
+                                             const serving::ReplayPlan& plan,
+                                             double epoch_interval_s,
+                                             ChaosSchedule schedule,
+                                             ChaosTarget target,
+                                             bool check_parity = false);
+
+/// Draws the schedule from `chaos` in the target's vocabulary and runs it.
+common::Result<ChaosReport> RunChaos(const core::NomLocEngine& engine,
+                                     const serving::ReplayPlan& plan,
+                                     double epoch_interval_s,
+                                     const ChaosConfig& chaos,
+                                     ChaosTarget target);
 
 }  // namespace nomloc::cluster

@@ -107,7 +107,7 @@ common::Result<std::unique_ptr<Cluster>> Cluster::Create(
   NOMLOC_RETURN_IF_ERROR(config.Validate().status());
   NOMLOC_ASSIGN_OR_RETURN(
       PlacementTable table,
-      PlacementTable::Create(config.shards, config.placement_seed));
+      PlacementTable::Create(config.shards));
   auto cluster = std::unique_ptr<Cluster>(
       new Cluster(engine, std::move(config), clock, std::move(table)));
   for (std::size_t shard = 0; shard < cluster->config_.shards; ++shard) {
@@ -128,8 +128,6 @@ Cluster::Cluster(const core::NomLocEngine& engine, ClusterConfig config,
     owned_clock_ = std::make_unique<serving::SteadyClock>();
     clock_ = owned_clock_.get();
   }
-  retry_jitter_state_.store(config_.write_retry_jitter_seed,
-                            std::memory_order_relaxed);
   slots_.reserve(config_.shards);
   for (std::size_t shard = 0; shard < config_.shards; ++shard)
     slots_.push_back(std::make_unique<Slot>(config_.shard_breaker));
@@ -147,10 +145,8 @@ common::Result<void> Cluster::AttachHost(std::size_t shard,
                                          const std::string* standby_dump) {
   NOMLOC_ASSIGN_OR_RETURN(LinkPair pair, ConnectLinkPair(config_.transport));
   ShardHostOptions options;
-  options.clock_from_packets = config_.clock_from_packets;
   options.placement_epoch = epoch_.load(std::memory_order_acquire);
   options.durable_dir = ShardDurableDir(shard);
-  options.wal_segment_bytes = config_.wal_segment_bytes;
   options.wal_fsync = config_.wal_fsync;
   NOMLOC_ASSIGN_OR_RETURN(
       std::unique_ptr<ShardHost> host,
@@ -406,7 +402,7 @@ void Cluster::ReplicateWrite(const serving::IngestPacket& packet,
     std::lock_guard<std::mutex> lock(slot.mutex);
     if (!slot.live || slot.link == nullptr) continue;
     // Replicate frames ride the same ordered stream as packets; a brief
-    // backpressure window is waited out like SetLogicalTime's.
+    // backpressure window is waited out.
     LinkWrite verdict = LinkWrite::kClosed;
     for (int attempt = 0; attempt < 1000; ++attempt) {
       verdict = WriteToSlot(slot, frame);
@@ -602,28 +598,6 @@ void Cluster::AntiEntropyRepair() {
                                          hosts[standby]->StandbyStore(),
                                          outgoing[standby],
                                          /*replace=*/false));
-  }
-}
-
-void Cluster::SetLogicalTime(double now_s) {
-  serving::WireControl control;
-  control.op = serving::WireControlOp::kClockSet;
-  control.value = now_s;
-  control.epoch = epoch_.load(std::memory_order_acquire);
-  std::string frame;
-  serving::AppendWireControlFrame(control, frame);
-  for (const auto& slot_ptr : slots_) {
-    Slot& slot = *slot_ptr;
-    std::lock_guard<std::mutex> lock(slot.mutex);
-    if (!slot.live || slot.link == nullptr) continue;
-    // Clock frames ride the same stream as packets (ordering matters);
-    // a brief backpressure window is waited out, a dead link is skipped
-    // (the restarted host gets a fresh clock from the next broadcast).
-    for (int attempt = 0; attempt < 1000; ++attempt) {
-      const LinkWrite verdict = WriteToSlot(slot, frame);
-      if (verdict != LinkWrite::kBackpressure) break;
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
   }
 }
 

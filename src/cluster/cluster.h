@@ -84,10 +84,6 @@ struct ClusterConfig {
   /// Walk the rendezvous preference order around unhealthy shards.  Off,
   /// an unhealthy owner rejects with kRejectedBreakerOpen instead.
   bool route_around = true;
-  /// Hosts advance their logical clock from packet timestamps.  Turn off
-  /// when the driver steers time via SetLogicalTime (chaos clock jumps).
-  bool clock_from_packets = true;
-  std::uint64_t placement_seed = kDefaultPlacementSeed;
   /// Dual-write every accepted observation to the object's standby shard
   /// (the first live slot in its preference order after the one that took
   /// the primary write), and promote standbys automatically when a
@@ -98,7 +94,6 @@ struct ClusterConfig {
   /// `<durable_dir>/shard-N` holding its WAL segments + checkpoint files;
   /// Recover() brings a killed shard back from them.
   std::string durable_dir;
-  std::size_t wal_segment_bytes = 1 << 20;
   bool wal_fsync = true;
   /// Router-side reconnect/retry policy: a transport write that reports
   /// backpressure is retried up to this many times with exponential
@@ -112,7 +107,6 @@ struct ClusterConfig {
   std::size_t write_retry_budget = 0;
   double write_retry_base_ms = 1.0;
   double write_retry_max_ms = 50.0;
-  std::uint64_t write_retry_jitter_seed = 0x2545f4914f6cdd1dull;
 
   common::Result<void> Validate() const;
 };
@@ -141,10 +135,6 @@ class Cluster {
 
   /// Routes one packet (see the admission table above).
   serving::AdmitStatus Ingest(const serving::IngestPacket& packet);
-
-  /// Broadcasts kClockSet(now_s) to every live shard, in-band (ordered
-  /// with respect to later Ingest calls on each stream).
-  void SetLogicalTime(double now_s);
 
   /// Token round-trip on every live shard; on return all responses to
   /// previously accepted packets are available via TakeResponses().
@@ -255,8 +245,8 @@ class Cluster {
   std::atomic<std::uint64_t> epoch_{0};
   /// Serializes failover promotion, recovery, and anti-entropy repair.
   std::mutex failover_mutex_;
-  /// Deterministic stream for retry-backoff jitter.
-  std::atomic<std::uint64_t> retry_jitter_state_{0};
+  /// Deterministic stream for retry-backoff jitter, from a fixed seed.
+  std::atomic<std::uint64_t> retry_jitter_state_{0x2545f4914f6cdd1dull};
 
   std::mutex ack_mutex_;
   std::condition_variable ack_cv_;

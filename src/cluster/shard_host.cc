@@ -23,21 +23,6 @@ common::MetricCounter& StaleEpoch() {
   return counter;
 }
 
-serving::WireResponse ToWire(const serving::ServeResponse& response) {
-  serving::WireResponse wire;
-  wire.object_id = response.object_id;
-  wire.timestamp_s = response.timestamp_s;
-  wire.status = static_cast<std::uint8_t>(response.status);
-  wire.degradation = static_cast<std::uint8_t>(response.degradation);
-  wire.degraded = response.degraded;
-  wire.anchor_count = static_cast<std::uint32_t>(response.anchor_count);
-  wire.position = response.estimate.position;
-  wire.relaxation_cost = response.estimate.relaxation_cost;
-  wire.feasible_area_m2 = response.estimate.feasible_area_m2;
-  wire.confidence = response.confidence;
-  return wire;
-}
-
 /// Loads one checkpoint file into `store` (Restore semantics).  A missing
 /// file is simply an empty state, not an error.
 common::Result<void> RestoreCheckpointFile(const std::string& path,
@@ -109,7 +94,6 @@ common::Result<void> ShardHost::Recover() {
           .status());
   serving::WalConfig wal_config;
   wal_config.directory = options_.durable_dir;
-  wal_config.segment_bytes = options_.wal_segment_bytes;
   wal_config.fsync = options_.wal_fsync;
   NOMLOC_ASSIGN_OR_RETURN(
       serving::WalOpenResult opened,
@@ -203,7 +187,8 @@ void ShardHost::HandleFlush(std::uint64_t token, std::string& outbound) {
     header_sent_ = true;
   }
   for (const serving::ServeResponse& response : responses)
-    serving::AppendWireResponseFrame(ToWire(response), outbound);
+    serving::AppendWireResponseFrame(serving::ToWireResponse(response),
+                                     outbound);
   serving::WireControl ack;
   ack.op = serving::WireControlOp::kFlushAck;
   ack.token = token;
@@ -216,8 +201,7 @@ void ShardHost::ApplyEvent(const serving::WireEvent& event,
   switch (event.kind) {
     case serving::kWireObservationFrame:
     case serving::kWireQueryFrame: {
-      if (options_.clock_from_packets)
-        clock_.Set(std::max(clock_.NowSeconds(), event.packet.timestamp_s));
+      clock_.Set(std::max(clock_.NowSeconds(), event.packet.timestamp_s));
       const serving::AdmitStatus admit = localizer_->Ingest(event.packet);
       if (admit != serving::AdmitStatus::kAccepted &&
           admit != serving::AdmitStatus::kDroppedByFault)
@@ -232,9 +216,6 @@ void ShardHost::ApplyEvent(const serving::WireEvent& event,
       break;
     case serving::kWireControlFrame:
       switch (event.control.op) {
-        case serving::WireControlOp::kClockSet:
-          clock_.Set(event.control.value);
-          break;
         case serving::WireControlOp::kEpochSet: {
           // Monotone adoption; an old epoch on the wire never rolls the
           // fence back.
@@ -269,8 +250,7 @@ void ShardHost::EncodeForWal(const serving::WireEvent& event,
     case serving::kWireControlFrame:
       // kFlush/kFlushAck are barriers, not state: replaying a flush would
       // emit responses nobody is listening for.
-      if (event.control.op == serving::WireControlOp::kClockSet ||
-          event.control.op == serving::WireControlOp::kEpochSet)
+      if (event.control.op == serving::WireControlOp::kEpochSet)
         serving::AppendWireControlFrame(event.control, out);
       break;
     default:

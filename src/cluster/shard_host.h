@@ -6,13 +6,10 @@
 //
 //   observation / query  -> StreamingLocalizer::Ingest (after advancing
 //                           the host's logical clock to the packet
-//                           timestamp, when clock_from_packets is on)
+//                           timestamp)
 //   replicate            -> warm-standby SessionStore::Upsert — the
 //                           backup copy of another shard's primary write
 //                           (epoch-fenced; see ApplyReplicate)
-//   kClockSet            -> ManualClock::Set(value) — the router's way to
-//                           drive logical time out-of-band (chaos clock
-//                           jumps, which packet timestamps cannot carry)
 //   kEpochSet            -> adopt the router's placement epoch; replicate
 //                           frames stamped with an older epoch are
 //                           rejected from then on
@@ -28,7 +25,7 @@
 //
 // Durability (ShardHostOptions::durable_dir): the host keeps a
 // write-ahead log of every state-bearing frame it applies — observation,
-// query, replicate, kClockSet, kEpochSet; kFlush is a barrier, not state
+// query, replicate, kEpochSet; kFlush is a barrier, not state
 // — appending each decoded batch *before* applying it.  Create() then
 // recovers a crashed host to its exact pre-crash state: restore
 // checkpoint.json (primary) and standby.json (replica copies), replay
@@ -68,9 +65,6 @@ inline std::string ShardStandbyPath(const std::string& durable_dir) {
 }
 
 struct ShardHostOptions {
-  /// Advance the host clock to each packet's timestamp (monotone max);
-  /// turn off when the router drives time purely via kClockSet.
-  bool clock_from_packets = true;
   /// The placement epoch the host starts at.  A promoted cluster bumps
   /// its epoch and broadcasts kEpochSet; replicate frames carrying an
   /// older epoch are stale-fenced (`cluster.placement.stale_epoch`).
@@ -79,7 +73,6 @@ struct ShardHostOptions {
   /// segments plus checkpoint.json / standby.json; Create() recovers
   /// from all three before the reader starts.
   std::string durable_dir;
-  std::size_t wal_segment_bytes = 1 << 20;
   bool wal_fsync = true;
 };
 
@@ -114,8 +107,6 @@ class ShardHost {
   /// Warm-standby copies of *other* shards' sessions, fed by replicate
   /// frames.  Promotion moves entries from here into a primary store.
   serving::SessionStore& StandbyStore() { return *standby_; }
-  serving::StreamingLocalizer& Localizer() { return *localizer_; }
-  serving::ManualClock& LogicalClock() { return clock_; }
 
   std::uint64_t PlacementEpoch() const noexcept {
     return epoch_.load(std::memory_order_acquire);

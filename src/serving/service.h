@@ -110,6 +110,9 @@ enum class AdmitStatus {
   /// do not count it toward a breaker trip.
   kRejectedShuttingDown,
 };
+/// Number of AdmitStatus values (for tallies indexed by verdict).
+inline constexpr std::size_t kAdmitStatusCount =
+    std::size_t(AdmitStatus::kRejectedShuttingDown) + 1;
 
 std::string_view AdmitStatusName(AdmitStatus status) noexcept;
 

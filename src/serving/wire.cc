@@ -180,7 +180,7 @@ void AppendWireControlFrame(const WireControl& control, std::string& out) {
   out.push_back(static_cast<char>(kWireControlFrame));
   out.push_back(static_cast<char>(control.op));
   PutU64(control.token, out);
-  PutF64(control.value, out);
+  PutU64(0, out);  // Reserved.
   PutU64(control.epoch, out);
   PutU32(Fnv1a(std::string_view(out).substr(frame_start)), out);
   BytesOut().Increment(out.size() - frame_start);
@@ -472,8 +472,14 @@ common::Result<void> WireDecoder::Feed(std::string_view chunk) {
     } else if (kind == kWireControlFrame) {
       WireControl control;
       control.op = static_cast<WireControlOp>(p[0]);
+      if (control.op != WireControlOp::kFlush &&
+          control.op != WireControlOp::kFlushAck &&
+          control.op != WireControlOp::kEpochSet) {
+        buffer_.erase(0, cursor);
+        stream_offset_ += cursor;
+        return Poison("unknown wire control op", stream_offset_);
+      }
       control.token = GetU64(p + 1);
-      control.value = GetF64(p + 9);
       control.epoch = GetU64(p + 17);
       if (accept_.ordered) {
         WireEvent event;

@@ -49,7 +49,7 @@ inline constexpr std::uint8_t kWireVersion = 2;
 /// Frame kinds (first byte of every frame).  Observation/query frames are
 /// the ingest direction; response, control, and replicate frames exist
 /// for the cluster transport (shard host -> router results, router <->
-/// host flush and clock coordination, primary -> backup dual-writes) and
+/// host flush and epoch coordination, primary -> backup dual-writes) and
 /// are rejected by the ingest-only decoders.
 inline constexpr std::uint8_t kWireObservationFrame = 0x01;
 inline constexpr std::uint8_t kWireQueryFrame = 0x02;
@@ -121,18 +121,34 @@ struct WireResponse {
   double confidence = 0.0;
 };
 
-/// Control-plane verbs carried in-band on a cluster channel.
+/// The wire form of one served response.
+inline WireResponse ToWireResponse(const ServeResponse& response) {
+  WireResponse wire;
+  wire.object_id = response.object_id;
+  wire.timestamp_s = response.timestamp_s;
+  wire.status = static_cast<std::uint8_t>(response.status);
+  wire.degradation = static_cast<std::uint8_t>(response.degradation);
+  wire.degraded = response.degraded;
+  wire.anchor_count = static_cast<std::uint32_t>(response.anchor_count);
+  wire.position = response.estimate.position;
+  wire.relaxation_cost = response.estimate.relaxation_cost;
+  wire.feasible_area_m2 = response.estimate.feasible_area_m2;
+  wire.confidence = response.confidence;
+  return wire;
+}
+
+/// Control-plane verbs carried in-band on a cluster channel.  WAL segments
+/// persist these bytes, so a value is never reused: 3 is retired, and
+/// decoders reject it like any other unknown op.
 enum class WireControlOp : std::uint8_t {
   kFlush = 1,     ///< Router -> host: drain, reply responses + kFlushAck.
   kFlushAck = 2,  ///< Host -> router: every frame before this is answered.
-  kClockSet = 3,  ///< Router -> host: set the host's logical clock to value.
   kEpochSet = 4,  ///< Router -> host: adopt the placement epoch in `epoch`.
 };
 
 struct WireControl {
   WireControlOp op = WireControlOp::kFlush;
   std::uint64_t token = 0;  ///< Correlates kFlush with its kFlushAck.
-  double value = 0.0;       ///< kClockSet's logical time; otherwise unused.
   /// The router's placement-table epoch at send time.  Hosts adopt it on
   /// kEpochSet; other ops carry it as provenance only.
   std::uint64_t epoch = 0;
@@ -180,8 +196,8 @@ struct WireDecoderAccept {
   bool controls = false;
   bool replicates = false;
   /// Deliver frames via TakeEvents() in exact stream order instead of the
-  /// per-kind Take*() vectors.  Cluster channels need this: a kClockSet
-  /// must be applied before the packets that followed it on the wire.
+  /// per-kind Take*() vectors.  Cluster channels need this: a kEpochSet
+  /// must be applied before the replicate frames that followed it.
   bool ordered = false;
 };
 

@@ -52,17 +52,17 @@ ClusterConfig ReplicatedConfig() {
   return config;
 }
 
-ClusterChaosConfig ParityChaos(std::uint64_t seed) {
-  ClusterChaosConfig chaos;
+ChaosConfig ParityChaos(std::uint64_t seed) {
+  ChaosConfig chaos(ChaosVocabulary::kTopology);
   chaos.seed = seed;
   chaos.events = 4;
   // The parity-preserving mix: crash kills + migrations.  Clean kills
   // restore from a checkpoint (legitimately dropping newer sessions) and
   // would fail the bit-compare by design.
-  chaos.kill_weight = 0.0;
-  chaos.stall_weight = 0.0;
-  chaos.migrate_weight = 2.0;
-  chaos.kill_unclean_weight = 3.0;
+  chaos.Weight(ChaosKind::kShardKill) = 0.0;
+  chaos.Weight(ChaosKind::kTransportStall) = 0.0;
+  chaos.Weight(ChaosKind::kShardMigrate) = 2.0;
+  chaos.Weight(ChaosKind::kShardKillUnclean) = 3.0;
   chaos.check_parity = true;
   return chaos;
 }
@@ -73,9 +73,9 @@ TEST(ClusterChaosReplication, SeedSweepKeepsBitParityUnderCrashKills) {
 
   std::size_t crash_kills_across_seeds = 0;
   for (std::uint64_t seed : {1ull, 2ull, 3ull, 4ull, 5ull, 11ull}) {
-    auto report = RunClusterChaos(harness->engine, harness->plan,
-                                  harness->replay.epoch_interval_s,
-                                  ParityChaos(seed), ReplicatedConfig());
+    auto report = RunChaos(harness->engine, harness->plan,
+                           harness->replay.epoch_interval_s,
+                           ParityChaos(seed), ReplicatedConfig());
     ASSERT_TRUE(report.ok()) << "seed " << seed << ": "
                              << report.status().ToString();
     // Zero loss: every accepted packet survives the crashes (typed
@@ -86,11 +86,13 @@ TEST(ClusterChaosReplication, SeedSweepKeepsBitParityUnderCrashKills) {
     EXPECT_EQ(report->parity_compared, report->outcomes.size());
     EXPECT_EQ(report->outcomes.size(), report->accepted_queries)
         << "seed " << seed;
-    EXPECT_EQ(report->admit_rejected_backpressure, 0u);
-    EXPECT_EQ(report->admit_rejected_breaker, 0u);
-    EXPECT_EQ(report->kills_unclean, report->recoveries)
+    EXPECT_EQ(report->Admitted(serving::AdmitStatus::kRejectedQueueFull), 0u);
+    EXPECT_EQ(report->Admitted(serving::AdmitStatus::kRejectedBreakerOpen),
+              0u);
+    EXPECT_EQ(report->Executed(ChaosKind::kShardKillUnclean),
+              report->Recovered(ChaosKind::kShardKillUnclean))
         << "seed " << seed << ": a crash window must end in Recover()";
-    crash_kills_across_seeds += report->kills_unclean;
+    crash_kills_across_seeds += report->Executed(ChaosKind::kShardKillUnclean);
   }
   // The sweep is vacuous unless the schedules actually crash shards.
   EXPECT_GT(crash_kills_across_seeds, 0u);
@@ -99,20 +101,21 @@ TEST(ClusterChaosReplication, SeedSweepKeepsBitParityUnderCrashKills) {
 TEST(ClusterChaosReplication, ScheduleLandsCrashKillsOffTheEpochGrid) {
   auto harness = MakeHarness();
   ASSERT_TRUE(harness.ok()) << harness.status().ToString();
-  ClusterChaosConfig chaos = ParityChaos(7);
+  ChaosConfig chaos = ParityChaos(7);
   chaos.events = 8;
-  chaos.migrate_weight = 0.0;  // Crash kills only.
-  const ClusterChaosSchedule schedule = BuildClusterChaosSchedule(
-      chaos, harness->plan, harness->replay.epoch_interval_s, 4);
+  chaos.Weight(ChaosKind::kShardMigrate) = 0.0;  // Crash kills only.
+  const ChaosSchedule schedule =
+      BuildChaosSchedule(chaos, ChaosVocabulary::kTopology, harness->plan,
+                         harness->replay.epoch_interval_s, 4);
   ASSERT_FALSE(schedule.events.empty());
   std::set<double> trigger_epochs;
   std::size_t unclean = 0;
-  for (const ClusterChaosEvent& event : schedule.events) {
+  for (const ChaosEvent& event : schedule.events) {
     // Trigger-epoch de-confliction converts surplus crash draws into
     // migrations (replication factor one tolerates one crash per flush
     // group), so not every event stays unclean.
-    if (event.kind != ClusterChaosEventKind::kShardKillUnclean) {
-      ASSERT_EQ(event.kind, ClusterChaosEventKind::kShardMigrate);
+    if (event.kind != ChaosKind::kShardKillUnclean) {
+      ASSERT_EQ(event.kind, ChaosKind::kShardMigrate);
       continue;
     }
     ++unclean;
@@ -134,16 +137,17 @@ TEST(ClusterChaosReplication, ScheduleLandsCrashKillsOffTheEpochGrid) {
 }
 
 TEST(ClusterChaosReplication, LegacySeedsUnaffectedByNewEventKind) {
-  // kill_unclean_weight defaults to 0: a pre-replication chaos config
+  // The crash-kill weight defaults to 0: a pre-replication chaos config
   // must draw the exact same schedule it always did.
   auto harness = MakeHarness();
   ASSERT_TRUE(harness.ok()) << harness.status().ToString();
-  ClusterChaosConfig chaos;
+  ChaosConfig chaos(ChaosVocabulary::kTopology);
   chaos.seed = 3;
-  const ClusterChaosSchedule schedule = BuildClusterChaosSchedule(
-      chaos, harness->plan, harness->replay.epoch_interval_s, 4);
-  for (const ClusterChaosEvent& event : schedule.events)
-    EXPECT_NE(event.kind, ClusterChaosEventKind::kShardKillUnclean);
+  const ChaosSchedule schedule =
+      BuildChaosSchedule(chaos, ChaosVocabulary::kTopology, harness->plan,
+                         harness->replay.epoch_interval_s, 4);
+  for (const ChaosEvent& event : schedule.events)
+    EXPECT_NE(event.kind, ChaosKind::kShardKillUnclean);
 }
 
 }  // namespace

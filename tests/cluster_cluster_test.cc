@@ -7,135 +7,24 @@
 
 #include <gtest/gtest.h>
 
-#include <cstring>
 #include <map>
-#include <set>
 #include <sstream>
 #include <string>
-#include <utility>
 #include <vector>
 
+#include "cluster_golden.h"
 #include "common/metrics.h"
-#include "eval/scenario.h"
 #include "serving/clock.h"
-#include "serving/replay.h"
 #include "serving/service.h"
 
 namespace nomloc::cluster {
 namespace {
-
-struct Harness {
-  eval::Scenario scenario;
-  serving::ReplayConfig replay;
-  serving::ReplayPlan plan;
-  core::NomLocEngine engine;
-};
-
-common::Result<Harness> MakeHarness(std::size_t objects, std::size_t epochs) {
-  NOMLOC_ASSIGN_OR_RETURN(eval::Scenario scenario,
-                          eval::ScenarioByName("lab"));
-  serving::ReplayConfig replay;
-  replay.objects = objects;
-  replay.epochs = epochs;
-  replay.run.packets_per_batch = 3;
-  replay.run.dwell_count = 3;
-  NOMLOC_ASSIGN_OR_RETURN(serving::ReplayPlan plan,
-                          BuildReplayPlan(scenario, replay));
-  core::NomLocConfig engine_cfg;
-  engine_cfg.bandwidth_hz = replay.run.channel.bandwidth_hz;
-  NOMLOC_ASSIGN_OR_RETURN(
-      core::NomLocEngine engine,
-      core::NomLocEngine::Create(scenario.env.Boundary(), engine_cfg));
-  return Harness{std::move(scenario), replay, std::move(plan),
-                 std::move(engine)};
-}
 
 ClusterConfig FourShardConfig() {
   ClusterConfig config;
   config.shards = 4;
   config.serving.workers = 2;
   return config;
-}
-
-void TuneServing(const Harness& harness, serving::ServingConfig& serving) {
-  serving.store.anchor_ttl_s = harness.plan.suggested_anchor_ttl_s;
-  serving.store.session_idle_ttl_s =
-      10.0 * harness.replay.epoch_interval_s;
-  serving.expected_anchors = harness.plan.expected_anchors;
-}
-
-/// Replays the plan epoch-by-epoch (flush at each boundary), invoking
-/// `at_boundary(epoch_just_finished)` between epochs.
-template <typename Sink, typename AtBoundary>
-void Replay(const Harness& harness, serving::ManualClock& clock, Sink&& sink,
-            AtBoundary&& at_boundary) {
-  std::size_t next = 0;
-  const auto& stream = harness.plan.packets;
-  for (std::size_t e = 0; e < harness.plan.epoch_count; ++e) {
-    const double epoch_end_s =
-        double(e + 1) * harness.replay.epoch_interval_s;
-    while (next < stream.size() &&
-           stream[next].timestamp_s < epoch_end_s) {
-      clock.Set(stream[next].timestamp_s);
-      sink(stream[next]);
-      ++next;
-    }
-    at_boundary(e + 1);
-  }
-}
-
-using ResponseKey = std::pair<std::uint64_t, std::uint64_t>;
-
-ResponseKey KeyOf(std::uint64_t object_id, double timestamp_s) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &timestamp_s, sizeof(bits));
-  return {object_id, bits};
-}
-
-/// Unsharded golden twin of the same replay.
-std::map<ResponseKey, serving::ServeResponse> GoldenRun(
-    const Harness& harness, serving::ServingConfig serving) {
-  serving::ManualClock clock;
-  auto service =
-      serving::StreamingLocalizer::Create(harness.engine, serving, &clock);
-  EXPECT_TRUE(service.ok()) << service.status().ToString();
-  Replay(
-      harness, clock,
-      [&](const serving::IngestPacket& p) { (void)(*service)->Ingest(p); },
-      [&](std::size_t) { (*service)->Flush(); });
-  (*service)->Shutdown();
-  std::map<ResponseKey, serving::ServeResponse> golden;
-  for (const serving::ServeResponse& r : (*service)->TakeResponses())
-    golden[KeyOf(r.object_id, r.timestamp_s)] = r;
-  return golden;
-}
-
-void ExpectBitIdentical(
-    const std::vector<ClusterResponse>& responses,
-    const std::map<ResponseKey, serving::ServeResponse>& golden) {
-  ASSERT_EQ(responses.size(), golden.size());
-  std::set<ResponseKey> seen;
-  auto bits_equal = [](double a, double b) {
-    return std::memcmp(&a, &b, sizeof(a)) == 0;
-  };
-  for (const ClusterResponse& received : responses) {
-    const serving::WireResponse& r = received.response;
-    const ResponseKey key = KeyOf(r.object_id, r.timestamp_s);
-    ASSERT_TRUE(seen.insert(key).second)
-        << "duplicate response for object " << r.object_id;
-    const auto golden_it = golden.find(key);
-    ASSERT_NE(golden_it, golden.end())
-        << "no golden twin for object " << r.object_id;
-    const serving::ServeResponse& want = golden_it->second;
-    EXPECT_EQ(r.status, static_cast<std::uint8_t>(want.status));
-    EXPECT_TRUE(bits_equal(r.position.x, want.estimate.position.x));
-    EXPECT_TRUE(bits_equal(r.position.y, want.estimate.position.y));
-    EXPECT_TRUE(
-        bits_equal(r.relaxation_cost, want.estimate.relaxation_cost));
-    EXPECT_TRUE(
-        bits_equal(r.feasible_area_m2, want.estimate.feasible_area_m2));
-    EXPECT_TRUE(bits_equal(r.confidence, want.confidence));
-  }
 }
 
 TEST(Cluster, FourShardsBitIdenticalToUnsharded) {
@@ -244,7 +133,9 @@ TEST(Cluster, KillRestoreCycleRoutesAroundAndStaysBitIdentical) {
   // breaker once the failure threshold was crossed).
   EXPECT_GT(registry.Counter("cluster.rerouted").Value(), rerouted_before);
   EXPECT_GT(registry.Counter("cluster.shard_trips").Value(), trips_before);
-  ExpectBitIdentical(responses, GoldenRun(*harness, config.serving));
+  // Route-around responses may differ from the golden in `degraded` only.
+  ExpectBitIdentical(responses, GoldenRun(*harness, config.serving),
+                     cluster->get());
 }
 
 TEST(Cluster, BreakerOpenRejectionWhenRouteAroundDisabled) {

@@ -3,12 +3,13 @@
 // invariants — no crash, one response per query, a valid DegradationLevel
 // on every response with consistently scaled confidence, bounded error,
 // and post-clearance accuracy within 5% of the fault-free run.
-#include "serving/chaos.h"
+#include "cluster/chaos.h"
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <map>
+#include <numeric>
 
 #include "common/degradation.h"
 #include "eval/scenario.h"
@@ -61,12 +62,13 @@ double AreaDiagonalM(const core::NomLocEngine& engine) {
   return geometry::Distance(box.lo, box.hi);
 }
 
-void AssertInvariants(const ChaosReport& report, const Harness& harness) {
+void AssertInvariants(const cluster::ChaosReport& report,
+                      const Harness& harness) {
   // One response per query — nothing lost, nothing duplicated.
   ASSERT_EQ(report.outcomes.size(),
             harness.plan.objects * harness.plan.epoch_count);
   const double diagonal_m = AreaDiagonalM(harness.engine);
-  for (const ChaosQueryOutcome& outcome : report.outcomes) {
+  for (const cluster::ChaosOutcome& outcome : report.outcomes) {
     const auto level = std::size_t(outcome.degradation);
     ASSERT_LE(level, 3u) << "invalid degradation level";
     EXPECT_GE(outcome.confidence, 0.0);
@@ -86,19 +88,21 @@ void AssertInvariants(const ChaosReport& report, const Harness& harness) {
 TEST(ChaosSchedule, DeterministicPerSeed) {
   auto harness = MakeHarness(5, {});
   ASSERT_TRUE(harness.ok());
-  ChaosConfig chaos;
+  cluster::ChaosConfig chaos;
   chaos.seed = 7;
-  const auto a =
-      BuildChaosSchedule(chaos, harness->plan, harness->replay.epoch_interval_s);
-  const auto b =
-      BuildChaosSchedule(chaos, harness->plan, harness->replay.epoch_interval_s);
+  const auto a = cluster::BuildChaosSchedule(
+      chaos, cluster::ChaosVocabulary::kDataPlane, harness->plan,
+      harness->replay.epoch_interval_s, harness->plan.expected_anchors);
+  const auto b = cluster::BuildChaosSchedule(
+      chaos, cluster::ChaosVocabulary::kDataPlane, harness->plan,
+      harness->replay.epoch_interval_s, harness->plan.expected_anchors);
   ASSERT_EQ(a.events.size(), b.events.size());
   ASSERT_EQ(a.events.size(), chaos.events);
   for (std::size_t i = 0; i < a.events.size(); ++i) {
     EXPECT_EQ(a.events[i].kind, b.events[i].kind);
     EXPECT_EQ(a.events[i].start_s, b.events[i].start_s);
     EXPECT_EQ(a.events[i].end_s, b.events[i].end_s);
-    EXPECT_EQ(a.events[i].ap_id, b.events[i].ap_id);
+    EXPECT_EQ(a.events[i].target, b.events[i].target);
     EXPECT_EQ(a.events[i].magnitude, b.events[i].magnitude);
   }
   // Faults clear before the run ends so recovery is always measurable.
@@ -110,16 +114,18 @@ TEST(ChaosSchedule, DeterministicPerSeed) {
 TEST(ChaosRun, NoEventsIsFaultFree) {
   auto harness = MakeHarness(3, {});
   ASSERT_TRUE(harness.ok());
-  ChaosConfig chaos;
+  cluster::ChaosConfig chaos;
   chaos.events = 0;
-  auto report = RunChaos(harness->engine, harness->plan,
-                         harness->replay.epoch_interval_s, chaos,
-                         ChaosServingConfig());
+  auto report = cluster::RunChaos(harness->engine, harness->plan,
+                                  harness->replay.epoch_interval_s, chaos,
+                                  ChaosServingConfig());
   ASSERT_TRUE(report.ok());
   AssertInvariants(*report, *harness);
-  EXPECT_EQ(report->injected_drops, 0u);
-  EXPECT_EQ(report->injected_corruptions, 0u);
-  for (const ChaosQueryOutcome& outcome : report->outcomes) {
+  EXPECT_EQ(report->Executed(cluster::ChaosKind::kAnchorDeath) +
+                report->Executed(cluster::ChaosKind::kAnchorFlap),
+            0u);
+  EXPECT_EQ(report->Executed(cluster::ChaosKind::kTraceCorruption), 0u);
+  for (const cluster::ChaosOutcome& outcome : report->outcomes) {
     EXPECT_EQ(outcome.status, ServeStatus::kOk);
     EXPECT_EQ(outcome.degradation, common::DegradationLevel::kNone);
   }
@@ -133,36 +139,36 @@ TEST(ChaosRun, InvariantsHoldAcrossSeeds) {
   auto harness = MakeHarness(5, {});
   ASSERT_TRUE(harness.ok());
 
-  ChaosConfig fault_free;
+  cluster::ChaosConfig fault_free;
   fault_free.events = 0;
-  auto baseline = RunChaos(harness->engine, harness->plan,
-                           harness->replay.epoch_interval_s, fault_free,
-                           ChaosServingConfig());
+  auto baseline = cluster::RunChaos(harness->engine, harness->plan,
+                                    harness->replay.epoch_interval_s,
+                                    fault_free, ChaosServingConfig());
   ASSERT_TRUE(baseline.ok());
   std::map<std::pair<std::size_t, std::uint64_t>, double> baseline_errors;
-  for (const ChaosQueryOutcome& outcome : baseline->outcomes)
+  for (const cluster::ChaosOutcome& outcome : baseline->outcomes)
     baseline_errors[{outcome.epoch, outcome.object_id}] = outcome.error_m;
 
   std::size_t total_injected = 0;
   for (std::uint64_t seed : {1ULL, 2ULL, 3ULL}) {
     SCOPED_TRACE("seed " + std::to_string(seed));
-    ChaosConfig chaos;
+    cluster::ChaosConfig chaos;
     chaos.seed = seed;
     chaos.events = 6;
-    auto report = RunChaos(harness->engine, harness->plan,
-                           harness->replay.epoch_interval_s, chaos,
-                           ChaosServingConfig());
+    auto report = cluster::RunChaos(harness->engine, harness->plan,
+                                    harness->replay.epoch_interval_s, chaos,
+                                    ChaosServingConfig());
     ASSERT_TRUE(report.ok());
     AssertInvariants(*report, *harness);
-    total_injected += report->injected_drops + report->injected_corruptions +
-                      report->clock_jumps + report->saturation_bursts;
+    total_injected += std::accumulate(report->executed.begin(),
+                                      report->executed.end(), std::size_t{0});
 
     // Post-clearance: every query issued at least one anchor TTL after
     // the last fault cleared must match the fault-free error within 5%.
     const double clear_s = report->schedule.last_event_end_s +
                            harness->plan.suggested_anchor_ttl_s;
     std::size_t post_clearance = 0;
-    for (const ChaosQueryOutcome& outcome : report->outcomes) {
+    for (const cluster::ChaosOutcome& outcome : report->outcomes) {
       if (outcome.timestamp_s < clear_s) continue;
       ++post_clearance;
       EXPECT_EQ(outcome.status, ServeStatus::kOk);
@@ -185,12 +191,12 @@ TEST(ChaosRun, DegradationLadderEngagesUnderTightBudget) {
   engine_cfg.solver.fallback.max_relaxation_cost = 1e-9;
   auto harness = MakeHarness(4, engine_cfg);
   ASSERT_TRUE(harness.ok());
-  ChaosConfig chaos;
+  cluster::ChaosConfig chaos;
   chaos.seed = 2;
   chaos.events = 4;
-  auto report = RunChaos(harness->engine, harness->plan,
-                         harness->replay.epoch_interval_s, chaos,
-                         ChaosServingConfig());
+  auto report = cluster::RunChaos(harness->engine, harness->plan,
+                                  harness->replay.epoch_interval_s, chaos,
+                                  ChaosServingConfig());
   ASSERT_TRUE(report.ok());
   AssertInvariants(*report, *harness);
   const std::size_t degraded = report->degradation_counts[1] +

@@ -86,10 +86,10 @@ TEST(Wal, AppendThenReopenReplaysInStreamOrder) {
 
   std::string frames;
   AppendWireFrame(Observation(1, 1.0), frames);
-  WireControl clock_set;
-  clock_set.op = WireControlOp::kClockSet;
-  clock_set.value = 2.0;
-  AppendWireControlFrame(clock_set, frames);
+  WireControl epoch_set;
+  epoch_set.op = WireControlOp::kEpochSet;
+  epoch_set.epoch = 2;
+  AppendWireControlFrame(epoch_set, frames);
   WireReplicate replicate;
   replicate.slot = 2;
   replicate.epoch = 1;
@@ -106,7 +106,7 @@ TEST(Wal, AppendThenReopenReplaysInStreamOrder) {
   EXPECT_EQ(reopened->events[0].kind, kWireObservationFrame);
   EXPECT_EQ(reopened->events[0].packet.object_id, 1u);
   EXPECT_EQ(reopened->events[1].kind, kWireControlFrame);
-  EXPECT_EQ(reopened->events[1].control.op, WireControlOp::kClockSet);
+  EXPECT_EQ(reopened->events[1].control.op, WireControlOp::kEpochSet);
   EXPECT_EQ(reopened->events[2].kind, kWireReplicateFrame);
   EXPECT_EQ(reopened->events[2].replicate.packet.object_id, 9u);
   EXPECT_EQ(reopened->frames_replayed, 3u);

@@ -235,7 +235,6 @@ TEST(WireDecoder, ResponseAndControlFramesRoundTrip) {
   WireControl control;
   control.op = WireControlOp::kFlushAck;
   control.token = 99;
-  control.value = 2.5;
 
   std::string bytes = WireHeader();
   AppendWireResponseFrame(response, bytes);
@@ -263,7 +262,6 @@ TEST(WireDecoder, ResponseAndControlFramesRoundTrip) {
   EXPECT_EQ(events[1].kind, kWireControlFrame);
   EXPECT_EQ(events[1].control.op, WireControlOp::kFlushAck);
   EXPECT_EQ(events[1].control.token, 99u);
-  EXPECT_EQ(events[1].control.value, 2.5);
 }
 
 TEST(WireDecoder, IngestChannelRejectsResponseFrames) {
@@ -282,20 +280,48 @@ TEST(WireDecoder, IngestChannelRejectsResponseFrames) {
   EXPECT_EQ(fed.status().message(), oracle.status().message());
 }
 
+TEST(WireDecoder, UnknownControlOpsAreTypedCorruption) {
+  // A control frame with a valid checksum but an op outside the protocol
+  // must fail typed, not decode and then vanish in the host's op switch:
+  // 0 was never assigned, 3 is retired, 9 is out of range.
+  for (const int op : {0, 3, 9}) {
+    SCOPED_TRACE("op " + std::to_string(op));
+    WireControl control;
+    control.op = static_cast<WireControlOp>(op);
+    std::string bytes = WireHeader();
+    AppendWireControlFrame(WireControl{}, bytes);  // A valid kFlush first.
+    const std::size_t offset = bytes.size();
+    AppendWireControlFrame(control, bytes);
+
+    WireDecoder decoder(WireDecoderAccept{
+        .packets = true, .responses = false, .controls = true,
+        .ordered = true});
+    const auto fed = decoder.Feed(bytes);
+    EXPECT_FALSE(fed.ok());
+    if (fed.ok()) continue;
+    EXPECT_EQ(fed.status().code(), common::StatusCode::kDataCorruption);
+    EXPECT_EQ(fed.status().message(),
+              "unknown wire control op at offset " + std::to_string(offset));
+    // The frame before it was delivered; the stream stays poisoned.
+    EXPECT_EQ(decoder.TakeEvents().size(), 1u);
+    EXPECT_FALSE(decoder.Finish().ok());
+  }
+}
+
 TEST(WireDecoder, OrderedModeInterleavesKinds) {
   IngestPacket obs;
   obs.kind = PacketKind::kObservation;
   obs.object_id = 1;
-  WireControl clock_set;
-  clock_set.op = WireControlOp::kClockSet;
-  clock_set.value = 7.0;
+  WireControl epoch_set;
+  epoch_set.op = WireControlOp::kEpochSet;
+  epoch_set.epoch = 7;
   IngestPacket query;
   query.kind = PacketKind::kQuery;
   query.object_id = 1;
 
   std::string bytes = WireHeader();
   AppendWireFrame(obs, bytes);
-  AppendWireControlFrame(clock_set, bytes);
+  AppendWireControlFrame(epoch_set, bytes);
   AppendWireFrame(query, bytes);
 
   WireDecoder decoder(WireDecoderAccept{
@@ -306,8 +332,8 @@ TEST(WireDecoder, OrderedModeInterleavesKinds) {
   ASSERT_EQ(events.size(), 3u);
   EXPECT_EQ(events[0].kind, kWireObservationFrame);
   EXPECT_EQ(events[1].kind, kWireControlFrame);
-  EXPECT_EQ(events[1].control.op, WireControlOp::kClockSet);
-  EXPECT_EQ(events[1].control.value, 7.0);
+  EXPECT_EQ(events[1].control.op, WireControlOp::kEpochSet);
+  EXPECT_EQ(events[1].control.epoch, 7u);
   EXPECT_EQ(events[2].kind, kWireQueryFrame);
   EXPECT_EQ(decoder.BytesDecoded(), bytes.size());
   EXPECT_EQ(decoder.PendingBytes(), 0u);

@@ -11,49 +11,55 @@
 // Replays the same measurement campaign nomloc_serve drives, but through
 // a Cluster: N shard hosts (each a StreamingLocalizer behind a byte-stream
 // transport speaking the NLW wire format) fronted by the rendezvous-hash
-// router.  Prints the shard topology, routing/admission tallies,
-// localization error, and throughput.
+// router.  Every run goes through the chaos engine (cluster/chaos.h) with
+// a topology schedule: empty by default, hand-built by --migrate, --kill
+// and --kill-primary, or seeded by --chaos.  Prints the shard topology,
+// the schedule and what of it executed, admission tallies, localization
+// error (also over the tail after the last event clears), and throughput.
 //
-// --check runs the identical stream through one unsharded
-// StreamingLocalizer and exits non-zero unless every sharded response is
-// bit-identical to its golden twin (position, relaxation cost, feasible
-// area, confidence — all compared as raw bits).  Because the replay
-// stream is globally timestamp-sorted and every epoch is self-contained
-// under the anchor TTL, sharding, live migration (--migrate), and even a
-// kill/checkpoint-restore cycle (--kill) must not change a single bit.
+// --check runs the engine's golden twin, one unsharded StreamingLocalizer
+// fed the accepted packets, and exits non-zero unless every response
+// matches its twin bit for bit: status, degradation, degraded flag,
+// anchor count, position, relaxation cost, feasible area and confidence.
+// The replay stream is globally timestamp-sorted and every epoch is
+// self-contained under the anchor TTL, so sharding and live migration
+// (--migrate) must not change a single bit.  A kill/checkpoint-restore
+// cycle (--kill) keeps every solution bit too, but while the router routes
+// around the dead shard, a response from the fallback shard can report
+// degraded = false where the unsharded run reports true: its fresh
+// session has not counted the keys that aged out earlier.  The 4-object,
+// 4-epoch run has no such response; 8 objects x 6 epochs has one, and
+// --check fails on it.
 //
-// --migrate live-migrates one shard at the middle epoch boundary (drain,
+// --migrate live-migrates shard 0 at the middle epoch boundary (drain,
 // filtered checkpoint, restore into a fresh host, atomic flip).  --kill
-// checkpoints and kills a shard at the middle boundary and restores it
-// one epoch later; in between the router routes its objects around the
-// dead shard along their rendezvous preference order.
+// checkpoints and kills shard 0 there and restores it one epoch later; in
+// between the router routes its objects around the dead shard along their
+// rendezvous preference order.
 //
 // --replicate turns on the standby dual-write path (requires >= 2
-// shards).  --kill-primary then crash-kills shard 0 at the middle epoch
-// boundary WITHOUT a checkpoint — the router fails over to the standby —
-// and Recover()s it one epoch later (WAL replay when --wal is set, then
-// anti-entropy repair).  Under --check the whole episode must stay
-// bit-identical to the unsharded golden run: the standby saw every
+// shards).  --kill-primary then crash-kills shard 0 WITHOUT a checkpoint,
+// with the middle epoch's first group in flight, so the router fails over
+// to the standby; it Recover()s one epoch later (WAL replay when --wal is
+// set, then anti-entropy repair).  Under --check the whole episode must
+// stay bit-identical to the unsharded golden run: the standby saw every
 // accepted observation, so nothing is lost.
 //
 // --wal DIR makes every shard durable under DIR/shard-N (WAL segments +
 // checkpoint files).  --retry-budget N enables router-side write retries
 // with exponential backoff + jitter before a typed backpressure reject.
 //
-// --chaos [SEED] runs the seeded shard-level chaos schedule (kills with
-// later restores, migrations, transport stalls) from
-// cluster::RunClusterChaos instead of the plain replay and reports event
-// and admission tallies plus post-recovery accuracy.  With --replicate
-// the event mix switches to the parity-preserving kinds (crash kills +
-// migrations), and --check runs the golden twin inside the harness —
-// the run fails unless every response is bit-identical.
+// --chaos [SEED] draws a seeded topology schedule instead (kills with
+// later restores, migrations, transport stalls).  With --replicate the
+// mix switches to the parity-preserving kinds (crash kills + migrations),
+// and --check fails the run unless every response is bit-identical.
 #include <algorithm>
+#include <array>
 #include <cctype>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
-#include <map>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -64,10 +70,8 @@
 #include "core/nomloc.h"
 #include "eval/runner.h"
 #include "eval/scenario.h"
-#include "serving/clock.h"
 #include "serving/replay.h"
 #include "serving/service.h"
-#include "serving/wire.h"
 
 using namespace nomloc;
 
@@ -87,17 +91,9 @@ namespace {
   std::exit(2);
 }
 
-/// Bit-compare key: a response answers exactly one (object, query time).
-using ResponseKey = std::pair<std::uint64_t, std::uint64_t>;
-
-ResponseKey KeyOf(std::uint64_t object_id, double timestamp_s) {
-  std::uint64_t bits;
-  std::memcpy(&bits, &timestamp_s, sizeof(bits));
-  return {object_id, bits};
-}
-
-bool BitsEqual(double a, double b) {
-  return std::memcmp(&a, &b, sizeof(a)) == 0;
+std::size_t Total(
+    const std::array<std::size_t, cluster::kChaosKindCount>& counts) {
+  return std::accumulate(counts.begin(), counts.end(), std::size_t{0});
 }
 
 void PrintMetricsSummary() {
@@ -139,7 +135,7 @@ int main(int argc, char** argv) {
   replay.run.packets_per_batch = 20;
   replay.run.dwell_count = 6;
   cluster::ClusterConfig config;
-  cluster::ClusterChaosConfig chaos;
+  cluster::ChaosConfig chaos(cluster::ChaosVocabulary::kTopology);
   bool chaos_mode = false;
   bool migrate = false;
   bool kill = false;
@@ -235,10 +231,10 @@ int main(int argc, char** argv) {
     // Parity-preserving mix: crash kills + migrations.  A clean kill's
     // Restart(restore) legitimately drops post-checkpoint sessions and a
     // stall's typed rejections are fine but pointless here.
-    chaos.kill_weight = 0.0;
-    chaos.stall_weight = 0.0;
-    if (chaos.kill_unclean_weight <= 0.0) chaos.kill_unclean_weight = 3.0;
-    if (check) chaos.check_parity = true;
+    chaos.Weight(cluster::ChaosKind::kShardKill) = 0.0;
+    chaos.Weight(cluster::ChaosKind::kTransportStall) = 0.0;
+    double& crash = chaos.Weight(cluster::ChaosKind::kShardKillUnclean);
+    if (crash <= 0.0) crash = 3.0;
   }
   if (chaos_mode && check && !config.replicate) {
     std::fprintf(stderr,
@@ -246,6 +242,7 @@ int main(int argc, char** argv) {
                  "under crash kills is the replication invariant)\n");
     return 2;
   }
+  chaos.check_parity = check;
 
   auto scenario = eval::ScenarioByName(scenario_name);
   if (!scenario.ok()) {
@@ -267,252 +264,111 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  if (chaos_mode) {
-    auto report = cluster::RunClusterChaos(*engine, *plan,
-                                           replay.epoch_interval_s, chaos,
-                                           config);
-    if (!report.ok()) {
-      std::fprintf(stderr, "error: %s\n", report.status().ToString().c_str());
-      return 1;
-    }
-    std::printf("chaos: seed=%llu events=%zu (last clears at %.2f s)\n",
-                static_cast<unsigned long long>(chaos.seed),
-                report->schedule.events.size(),
-                report->schedule.last_event_end_s);
-    for (const cluster::ClusterChaosEvent& event : report->schedule.events) {
-      std::printf(
-          "  %-16s shard=%zu  [%.2f, %.2f] s\n",
-          std::string(cluster::ClusterChaosEventKindName(event.kind)).c_str(),
-          event.shard, event.start_s, event.end_s);
-    }
-    std::printf("executed: %zu kills, %zu restores, %zu crash kills, "
-                "%zu recoveries, %zu migrations, %zu stall windows\n",
-                report->kills, report->restores, report->kills_unclean,
-                report->recoveries, report->migrations,
-                report->stall_windows);
-    std::printf("ingest: %zu accepted, %zu backpressure, %zu breaker-open, "
-                "%zu past deadline\n",
-                report->admit_accepted, report->admit_rejected_backpressure,
-                report->admit_rejected_breaker,
-                report->admit_rejected_deadline);
-    std::printf("responses: %zu (accepted queries %zu)\n",
-                report->outcomes.size(), report->accepted_queries);
-    if (report->tail_mean_error_m >= 0.0)
-      std::printf("recovery: tail mean error %.2f m\n",
-                  report->tail_mean_error_m);
-    int chaos_exit = 0;
-    if (report->parity_checked) {
-      if (report->parity_mismatches == 0) {
-        std::printf("check: %zu responses bit-identical to the unsharded "
-                    "golden run (under %zu crash kills)\n",
-                    report->parity_compared, report->kills_unclean);
-      } else {
-        std::fprintf(stderr, "check: FAILED (%zu compared, %zu mismatched)\n",
-                     report->parity_compared, report->parity_mismatches);
-        chaos_exit = 1;
-      }
-    }
-    if (metrics) {
-      serving::TouchMetrics();
-      cluster::TouchMetrics();
-      std::printf("\n%s", common::MetricRegistry::Global().DumpText().c_str());
-      PrintMetricsSummary();
-    }
-    return chaos_exit;
-  }
+  // Hand-built events hit shard 0 at the middle epoch boundary; windows
+  // close one epoch later.
+  using cluster::ChaosKind;
+  cluster::ChaosSchedule schedule;
+  const double boundary_s =
+      double(plan->epoch_count / 2) * replay.epoch_interval_s;
+  const double reopen_s = boundary_s + replay.epoch_interval_s;
+  if (migrate)
+    schedule.events.push_back({ChaosKind::kShardMigrate, boundary_s,
+                               boundary_s});
+  if (kill)
+    schedule.events.push_back({ChaosKind::kShardKill, boundary_s, reopen_s});
+  if (kill_primary)
+    schedule.events.push_back({ChaosKind::kShardKillUnclean, boundary_s,
+                               reopen_s});
+  const std::size_t windows = std::size_t(kill) + std::size_t(kill_primary);
 
-  config.serving.store.anchor_ttl_s = plan->suggested_anchor_ttl_s;
-  config.serving.store.session_idle_ttl_s = 10.0 * replay.epoch_interval_s;
-  config.serving.expected_anchors = plan->expected_anchors;
-
-  serving::ManualClock clock;
-  auto cluster_result = cluster::Cluster::Create(*engine, config, &clock);
-  if (!cluster_result.ok()) {
-    std::fprintf(stderr, "error: %s\n",
-                 cluster_result.status().ToString().c_str());
-    return 1;
-  }
-  cluster::Cluster& cluster = **cluster_result;
-
-  // Topology events fire on flushed epoch boundaries: migration after the
-  // middle epoch, kill after the middle epoch + restore one epoch later.
-  const std::size_t event_boundary = plan->epoch_count / 2;
-  const std::size_t event_shard = 0;
-
-  std::size_t accepted = 0, rejected = 0;
   const auto t0 = std::chrono::steady_clock::now();
-  std::size_t next_packet = 0;
-  const auto& stream = plan->packets;
-  for (std::size_t e = 0; e < plan->epoch_count; ++e) {
-    const double epoch_end_s = double(e + 1) * replay.epoch_interval_s;
-    while (next_packet < stream.size() &&
-           stream[next_packet].timestamp_s < epoch_end_s) {
-      const serving::IngestPacket& packet = stream[next_packet++];
-      clock.Set(packet.timestamp_s);
-      if (cluster.Ingest(packet) == serving::AdmitStatus::kAccepted)
-        ++accepted;
-      else
-        ++rejected;
-    }
-    cluster.Flush();
-    if (e + 1 == event_boundary) {
-      if (migrate) {
-        if (auto ok = cluster.Migrate(event_shard); !ok.ok()) {
-          std::fprintf(stderr, "error: %s\n", ok.status().ToString().c_str());
-          return 1;
-        }
-        std::printf("migrated shard %zu after epoch %zu\n", event_shard,
-                    e + 1);
-      }
-      if (kill) {
-        if (auto ok = cluster.Checkpoint(event_shard); !ok.ok()) {
-          std::fprintf(stderr, "error: %s\n", ok.status().ToString().c_str());
-          return 1;
-        }
-        cluster.Kill(event_shard);
-        std::printf("killed shard %zu after epoch %zu\n", event_shard, e + 1);
-      }
-      if (kill_primary) {
-        // Crash, not a planned drain: no checkpoint.  The first packet
-        // that finds the shard dead triggers failover to its standby.
-        cluster.Kill(event_shard, /*unclean=*/true);
-        std::printf("crash-killed shard %zu after epoch %zu\n", event_shard,
-                    e + 1);
-      }
-    } else if (e == event_boundary && !cluster.ShardLive(event_shard)) {
-      if (kill) {
-        if (auto ok = cluster.Restart(event_shard, /*restore=*/true);
-            !ok.ok()) {
-          std::fprintf(stderr, "error: %s\n",
-                       ok.status().ToString().c_str());
-          return 1;
-        }
-        std::printf("restored shard %zu after epoch %zu\n", event_shard,
-                    e + 1);
-      }
-      if (kill_primary) {
-        if (auto ok = cluster.Recover(event_shard); !ok.ok()) {
-          std::fprintf(stderr, "error: %s\n",
-                       ok.status().ToString().c_str());
-          return 1;
-        }
-        std::printf("recovered shard %zu after epoch %zu\n", event_shard,
-                    e + 1);
-      }
-    }
-  }
-  cluster.Flush();
+  auto report =
+      chaos_mode
+          ? cluster::RunChaos(*engine, *plan, replay.epoch_interval_s, chaos,
+                              config)
+          : cluster::RunChaosSchedule(*engine, *plan, replay.epoch_interval_s,
+                                      schedule, config, check);
   const double wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
-  std::vector<cluster::ClusterResponse> responses = cluster.TakeResponses();
-  cluster.Shutdown();
+  if (!report.ok()) {
+    std::fprintf(stderr, "error: %s\n", report.status().ToString().c_str());
+    return 1;
+  }
 
   std::printf("scenario=%s objects=%zu epochs=%zu shards=%zu transport=%s\n",
               scenario_name.c_str(), plan->objects, plan->epoch_count,
-              cluster.ShardCount(),
+              config.shards,
               std::string(cluster::TransportKindName(config.transport.kind))
                   .c_str());
-  std::printf("ingest: %zu accepted, %zu rejected\n", accepted, rejected);
-
-  const auto ok_status = static_cast<std::uint8_t>(serving::ServeStatus::kOk);
-  std::size_t ok_count = 0;
-  std::vector<double> errors_m;
-  for (const cluster::ClusterResponse& received : responses) {
-    const serving::WireResponse& r = received.response;
-    if (r.status != ok_status) continue;
-    ++ok_count;
-    const std::size_t epoch =
-        std::size_t(r.timestamp_s / replay.epoch_interval_s);
-    const std::size_t row = epoch * plan->objects + std::size_t(r.object_id);
-    if (row < plan->epochs.size())
-      errors_m.push_back(
-          (r.position - plan->epochs[row].true_position).Norm());
+  if (chaos_mode)
+    std::printf("chaos: seed=%llu ",
+                static_cast<unsigned long long>(chaos.seed));
+  std::printf("events=%zu (last clears at %.2f s)\n",
+              report->schedule.events.size(),
+              report->schedule.last_event_end_s);
+  for (const cluster::ChaosEvent& event : report->schedule.events) {
+    std::printf("  %-16s shard=%zu  [%.2f, %.2f] s\n",
+                std::string(cluster::ChaosKindName(event.kind)).c_str(),
+                event.target, event.start_s, event.end_s);
   }
-  std::printf("responses: %zu (%zu ok)\n", responses.size(), ok_count);
+  std::printf("executed: %zu kills, %zu restores, %zu crash kills, "
+              "%zu recoveries, %zu migrations, %zu stall windows\n",
+              report->Executed(ChaosKind::kShardKill),
+              report->Recovered(ChaosKind::kShardKill),
+              report->Executed(ChaosKind::kShardKillUnclean),
+              report->Recovered(ChaosKind::kShardKillUnclean),
+              report->Executed(ChaosKind::kShardMigrate),
+              report->Executed(ChaosKind::kTransportStall));
+  const std::size_t accepted =
+      report->Admitted(serving::AdmitStatus::kAccepted);
+  std::printf("ingest: %zu accepted, %zu backpressure, %zu breaker-open, "
+              "%zu past deadline\n",
+              accepted,
+              report->Admitted(serving::AdmitStatus::kRejectedQueueFull),
+              report->Admitted(serving::AdmitStatus::kRejectedBreakerOpen),
+              report->Admitted(serving::AdmitStatus::kRejectedDeadline));
+  std::vector<double> errors_m;
+  for (const cluster::ChaosOutcome& outcome : report->outcomes)
+    if (outcome.status == serving::ServeStatus::kOk)
+      errors_m.push_back(outcome.error_m);
+  std::printf("responses: %zu (%zu ok, accepted queries %zu)\n",
+              report->outcomes.size(), errors_m.size(),
+              report->accepted_queries);
   if (!errors_m.empty())
     std::printf("error: mean %.2f m | p50 %.2f m | p90 %.2f m\n",
                 common::Mean(errors_m), common::Percentile(errors_m, 0.5),
                 common::Percentile(errors_m, 0.9));
+  if (!report->schedule.events.empty() && report->tail_mean_error_m >= 0.0)
+    std::printf("recovery: tail mean error %.2f m\n",
+                report->tail_mean_error_m);
   std::printf("throughput: %.0f packets/s (%zu packets in %.3f s)\n",
               wall_s > 0.0 ? double(accepted) / wall_s : 0.0, accepted,
               wall_s);
 
   int exit_code = 0;
-  if (check) {
-    // Golden twin: the identical stream through one unsharded localizer.
-    serving::ManualClock golden_clock;
-    serving::ServingConfig golden_config = config.serving;
-    auto golden = serving::StreamingLocalizer::Create(*engine, golden_config,
-                                                      &golden_clock);
-    if (!golden.ok()) {
-      std::fprintf(stderr, "error: %s\n",
-                   golden.status().ToString().c_str());
-      return 1;
-    }
-    std::size_t golden_next = 0;
-    for (std::size_t e = 0; e < plan->epoch_count; ++e) {
-      const double epoch_end_s = double(e + 1) * replay.epoch_interval_s;
-      while (golden_next < stream.size() &&
-             stream[golden_next].timestamp_s < epoch_end_s) {
-        const serving::IngestPacket& packet = stream[golden_next++];
-        golden_clock.Set(packet.timestamp_s);
-        (void)(*golden)->Ingest(packet);
-      }
-      (*golden)->Flush();
-    }
-    (*golden)->Shutdown();
-
-    std::map<ResponseKey, serving::ServeResponse> golden_by_key;
-    for (const serving::ServeResponse& r : (*golden)->TakeResponses())
-      golden_by_key[KeyOf(r.object_id, r.timestamp_s)] = r;
-
-    std::size_t compared = 0, mismatched = 0;
-    std::map<ResponseKey, std::size_t> seen;
-    for (const cluster::ClusterResponse& received : responses) {
-      const serving::WireResponse& r = received.response;
-      const ResponseKey key = KeyOf(r.object_id, r.timestamp_s);
-      if (++seen[key] > 1) {
-        ++mismatched;
-        std::fprintf(stderr, "check: duplicate response for object %llu\n",
-                     static_cast<unsigned long long>(r.object_id));
-        continue;
-      }
-      auto golden_it = golden_by_key.find(key);
-      if (golden_it == golden_by_key.end()) {
-        ++mismatched;
-        std::fprintf(stderr,
-                     "check: object %llu t=%.6f has no golden twin\n",
-                     static_cast<unsigned long long>(r.object_id),
-                     r.timestamp_s);
-        continue;
-      }
-      const serving::ServeResponse& want = golden_it->second;
-      ++compared;
-      if (r.status != static_cast<std::uint8_t>(want.status) ||
-          !BitsEqual(r.position.x, want.estimate.position.x) ||
-          !BitsEqual(r.position.y, want.estimate.position.y) ||
-          !BitsEqual(r.relaxation_cost, want.estimate.relaxation_cost) ||
-          !BitsEqual(r.feasible_area_m2, want.estimate.feasible_area_m2) ||
-          !BitsEqual(r.confidence, want.confidence)) {
-        ++mismatched;
-        std::fprintf(stderr,
-                     "check: object %llu t=%.6f: sharded (%.17g, %.17g) "
-                     "!= golden (%.17g, %.17g)\n",
-                     static_cast<unsigned long long>(r.object_id),
-                     r.timestamp_s, r.position.x, r.position.y,
-                     want.estimate.position.x, want.estimate.position.y);
-      }
-    }
-    if (compared != golden_by_key.size() || mismatched != 0) {
-      std::fprintf(stderr,
-                   "check: FAILED (%zu of %zu compared, %zu mismatched)\n",
-                   compared, golden_by_key.size(), mismatched);
-      exit_code = 1;
+  if (!chaos_mode && (Total(report->executed) != schedule.events.size() ||
+                      Total(report->recovered) != windows)) {
+    std::fprintf(stderr,
+                 "error: %zu of %zu scheduled events and %zu of %zu "
+                 "recoveries executed\n",
+                 Total(report->executed), schedule.events.size(),
+                 Total(report->recovered), windows);
+    exit_code = 1;
+  }
+  if (report->parity_checked) {
+    if (report->parity_mismatches == 0) {
+      const std::size_t executed = Total(report->executed);
+      std::printf("check: %zu responses bit-identical to the unsharded "
+                  "golden run (under %zu topology event%s)\n",
+                  report->parity_compared, executed,
+                  executed == 1 ? "" : "s");
     } else {
-      std::printf("check: %zu sharded responses bit-identical to the "
-                  "unsharded golden run\n",
-                  compared);
+      std::fprintf(stderr,
+                   "check: FAILED (%zu compared, %zu mismatched; first: %s)\n",
+                   report->parity_compared, report->parity_mismatches,
+                   report->first_mismatch.c_str());
+      exit_code = 1;
     }
   }
 

@@ -42,10 +42,10 @@
 // Resilience knobs: --breaker-threshold / --breaker-backoff shape the
 // per-anchor circuit breakers, --retry-budget re-queues failed queries,
 // --no-lkg disables the last-known-good fallback.  --chaos SEED replays
-// the deterministic chaos schedule (anchor death/flap, trace corruption,
-// clock jumps, queue saturation) from serving::RunChaos instead of the
-// plain stream and reports injections, degradation counts, and recovery
-// latency.
+// a seeded data-plane schedule (anchor death/flap, trace corruption, clock
+// jumps, queue saturation) on the chaos engine (cluster::RunChaos) instead
+// of the plain stream and reports injections, degradation counts, and
+// recovery latency.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -54,13 +54,13 @@
 #include <string>
 #include <vector>
 
+#include "cluster/chaos.h"
 #include "common/degradation.h"
 #include "common/metrics.h"
 #include "common/stats.h"
 #include "core/nomloc.h"
 #include "eval/runner.h"
 #include "eval/scenario.h"
-#include "serving/chaos.h"
 #include "serving/clock.h"
 #include "serving/replay.h"
 #include "serving/service.h"
@@ -93,7 +93,7 @@ int main(int argc, char** argv) {
   replay.run.packets_per_batch = 20;
   replay.run.dwell_count = 6;
   serving::ServingConfig serve;
-  serving::ChaosConfig chaos;
+  cluster::ChaosConfig chaos;
   bool chaos_mode = false;
   bool use_wire = false;
   serving::WireFormat wire_format = serving::WireFormat::kBinary;
@@ -219,7 +219,7 @@ int main(int argc, char** argv) {
   }
 
   if (chaos_mode) {
-    auto report = serving::RunChaos(*engine, *plan, replay.epoch_interval_s,
+    auto report = cluster::RunChaos(*engine, *plan, replay.epoch_interval_s,
                                     chaos, serve);
     if (!report.ok()) {
       std::fprintf(stderr, "error: %s\n", report.status().ToString().c_str());
@@ -229,26 +229,32 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(chaos.seed),
                 report->schedule.events.size(),
                 report->schedule.last_event_end_s);
-    for (const serving::ChaosEvent& event : report->schedule.events) {
-      std::printf("  %-16s ap=%d  [%.2f, %.2f] s  magnitude=%.3f\n",
-                  std::string(serving::ChaosEventKindName(event.kind)).c_str(),
-                  event.ap_id, event.start_s, event.end_s, event.magnitude);
+    for (const cluster::ChaosEvent& event : report->schedule.events) {
+      std::printf("  %-16s ap=%zu  [%.2f, %.2f] s  magnitude=%.3f\n",
+                  std::string(cluster::ChaosKindName(event.kind)).c_str(),
+                  event.target, event.start_s, event.end_s, event.magnitude);
     }
+    using cluster::ChaosKind;
+    using serving::AdmitStatus;
     std::printf("injected: %zu dropped, %zu corrupted, %zu clock jumps, "
                 "%zu saturation bursts\n",
-                report->injected_drops, report->injected_corruptions,
-                report->clock_jumps, report->saturation_bursts);
+                report->Executed(ChaosKind::kAnchorDeath) +
+                    report->Executed(ChaosKind::kAnchorFlap),
+                report->Executed(ChaosKind::kTraceCorruption),
+                report->Executed(ChaosKind::kClockJump),
+                report->Executed(ChaosKind::kQueueSaturation));
     std::printf("ingest: %zu accepted, %zu corrupt, %zu breaker-open, "
                 "%zu queue-full\n",
-                report->admit_accepted, report->admit_rejected_corrupt,
-                report->admit_rejected_breaker,
-                report->admit_rejected_queue_full);
+                report->Admitted(AdmitStatus::kAccepted),
+                report->Admitted(AdmitStatus::kRejectedCorrupt),
+                report->Admitted(AdmitStatus::kRejectedBreakerOpen),
+                report->Admitted(AdmitStatus::kRejectedQueueFull));
     std::printf("degradation: none %zu, relaxed %zu, centroid %zu, "
                 "last-known-good %zu\n",
                 report->degradation_counts[0], report->degradation_counts[1],
                 report->degradation_counts[2], report->degradation_counts[3]);
     std::vector<double> errors_m;
-    for (const serving::ChaosQueryOutcome& outcome : report->outcomes)
+    for (const cluster::ChaosOutcome& outcome : report->outcomes)
       if (outcome.status == serving::ServeStatus::kOk)
         errors_m.push_back(outcome.error_m);
     if (!errors_m.empty()) {
