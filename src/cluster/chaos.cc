@@ -23,6 +23,7 @@ std::string_view ChaosKindName(ChaosKind kind) noexcept {
     case ChaosKind::kAnchorFlap: return "ANCHOR_FLAP";
     case ChaosKind::kTraceCorruption: return "TRACE_CORRUPTION";
     case ChaosKind::kClockJump: return "CLOCK_JUMP";
+    case ChaosKind::kLateDelivery: return "LATE_DELIVERY";
     case ChaosKind::kQueueSaturation: return "QUEUE_SATURATION";
     case ChaosKind::kShardKill: return "SHARD_KILL";
     case ChaosKind::kShardMigrate: return "SHARD_MIGRATE";
@@ -77,6 +78,9 @@ void DrawDataPlane(const ChaosConfig& config, common::Rng& rng,
     const double window_s =
         rng.Uniform(0.1, kMaxWindowFraction) * epoch_interval_s;
     switch (event.kind) {
+      case ChaosKind::kLateDelivery:
+        event.magnitude = rng.Uniform(0.0, epoch_interval_s);  // Delay.
+        [[fallthrough]];
       case ChaosKind::kAnchorDeath:
       case ChaosKind::kTraceCorruption:
         event.end_s = event.start_s + window_s;
@@ -223,19 +227,45 @@ std::string Describe(const serving::WireResponse& response,
          std::to_string(response.timestamp_s) + ": " + what;
 }
 
-/// Applies the anchor faults covering an observation: death drops it for
-/// the whole window, flap during the "down" half of each period, and
-/// corruption scribbles its PDP with NaN.  Returns false when it was
-/// dropped.
-bool ApplyAnchorFaults(const std::vector<ChaosEvent>& events,
-                       serving::IngestPacket& packet, ChaosReport& report) {
+/// A hash of the observation's fields, PDP bits included: it picks the
+/// packets a partial-share event hits, so the pick varies with the replay
+/// seed but not from run to run.
+std::uint64_t PacketKey(const serving::IngestPacket& packet) {
+  std::uint64_t key = 0;
+  for (const std::uint64_t field :
+       {packet.object_id, std::uint64_t(packet.ap_id),
+        Bits(packet.timestamp_s), Bits(packet.pdp)}) {
+    std::uint64_t state = key ^ field;
+    key = common::SplitMix64(state);
+  }
+  return key;
+}
+
+/// Whether `event` hits the packet with `key`: every packet at share 1,
+/// else a uniform draw from the key salted with the kind.
+bool Hits(const ChaosEvent& event, std::uint64_t key) {
+  if (event.share >= 1.0) return true;
+  std::uint64_t state = key ^ std::uint64_t(event.kind);
+  return double(common::SplitMix64(state) >> 11) * 0x1.0p-53 < event.share;
+}
+
+/// Applies the data-plane faults covering an observation: death drops it
+/// for the whole window, flap during the "down" half of each period,
+/// corruption scribbles its PDP with NaN, and late delivery pulls its
+/// deadline in by the delay, so the target admits it as if it arrived
+/// that much later.  Returns false when it was dropped.
+bool ApplyObservationFaults(const std::vector<ChaosEvent>& events,
+                            serving::IngestPacket& packet,
+                            ChaosReport& report) {
   if (packet.kind != serving::PacketKind::kObservation) return true;
   const double t = packet.timestamp_s;
+  const std::uint64_t key = PacketKey(packet);
   bool corrupted = false;
+  bool delayed = false;
   for (const ChaosEvent& event : events) {
     if (VocabularyOf(event.kind) != ChaosVocabulary::kDataPlane ||
         packet.ap_id < 0 || std::size_t(packet.ap_id) != event.target ||
-        t < event.start_s || t > event.end_s)
+        t < event.start_s || t > event.end_s || !Hits(event, key))
       continue;
     bool dropped = event.kind == ChaosKind::kAnchorDeath;
     if (event.kind == ChaosKind::kAnchorFlap) {
@@ -251,8 +281,13 @@ bool ApplyAnchorFaults(const std::vector<ChaosEvent>& events,
       packet.pdp = std::numeric_limits<double>::quiet_NaN();
       corrupted = true;
     }
+    if (event.kind == ChaosKind::kLateDelivery) {
+      packet.deadline_s -= event.magnitude;
+      delayed = true;
+    }
   }
   if (corrupted) ++report.executed[std::size_t(ChaosKind::kTraceCorruption)];
+  if (delayed) ++report.executed[std::size_t(ChaosKind::kLateDelivery)];
   return true;
 }
 
@@ -307,6 +342,10 @@ common::Result<ChaosReport> RunChaosSchedule(const core::NomLocEngine& engine,
                                      " is not in the target's vocabulary");
     if (!(event.end_s >= event.start_s))
       return common::InvalidArgument("chaos event ends before it starts");
+    if (!(event.share >= 0.0 && event.share <= 1.0))
+      return common::InvalidArgument("chaos event share must be in [0, 1]");
+    if (event.kind == ChaosKind::kLateDelivery && !(event.magnitude >= 0.0))
+      return common::InvalidArgument("late delivery needs a delay >= 0");
     if (cluster_config != nullptr && event.target >= cluster_config->shards)
       return common::InvalidArgument("chaos event targets a missing shard");
   }
@@ -376,7 +415,8 @@ common::Result<ChaosReport> RunChaosSchedule(const core::NomLocEngine& engine,
       case ChaosKind::kAnchorDeath:
       case ChaosKind::kAnchorFlap:
       case ChaosKind::kTraceCorruption:
-        return true;  // Applied per packet (ApplyAnchorFaults).
+      case ChaosKind::kLateDelivery:
+        return true;  // Applied per packet (ApplyObservationFaults).
       case ChaosKind::kClockJump:
         pending_jump_s += event.magnitude;
         tally(report.executed, event);
@@ -427,7 +467,7 @@ common::Result<ChaosReport> RunChaosSchedule(const core::NomLocEngine& engine,
     const ChaosEvent& event = events[e];
     if (event.kind == ChaosKind::kShardKill) {
       if (!cluster->ShardLive(event.target) &&
-          cluster->Restart(event.target, /*restore=*/true).ok())
+          cluster->Restart(event.target).ok())
         tally(report.recovered, event);
     } else if (event.kind == ChaosKind::kShardKillUnclean) {
       if (std::find(crash_pending.begin(), crash_pending.end(), e) !=
@@ -469,7 +509,7 @@ common::Result<ChaosReport> RunChaosSchedule(const core::NomLocEngine& engine,
     // scheduling.
     for (; i < plan.packets.size() && plan.packets[i].timestamp_s == t; ++i) {
       serving::IngestPacket packet = plan.packets[i];
-      if (!ApplyAnchorFaults(events, packet, report)) continue;
+      if (!ApplyObservationFaults(events, packet, report)) continue;
       const serving::AdmitStatus admit = ingest(packet);
       ++report.admitted[std::size_t(admit)];
       if (admit != serving::AdmitStatus::kAccepted) continue;
@@ -579,6 +619,7 @@ common::Result<ChaosReport> RunChaosSchedule(const core::NomLocEngine& engine,
   }
   if (tail_error_count > 0)
     report.tail_mean_error_m = tail_error_sum / double(tail_error_count);
+  report.responses = std::move(responses);
   return report;
 }
 

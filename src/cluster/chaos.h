@@ -5,15 +5,20 @@
 // the vocabulary its schedules draw from:
 //
 //   * a StreamingLocalizer takes the data-plane kinds: anchor death and
-//     flap, trace corruption, clock jumps, queue saturation;
+//     flap, trace corruption, clock jumps, late delivery, queue
+//     saturation;
 //   * a Cluster takes the topology kinds: shard kills with later
 //     checkpoint-restores, live migrations, transport stalls, crash kills.
 //
 // Building a schedule (BuildChaosSchedule, seeded) is separate from
 // running one (RunChaosSchedule), so a caller can also run a hand-built
 // schedule: `nomloc_cluster --migrate`, `--kill` and `--kill-primary` each
-// add one event.  A run is a pure function of (plan, schedule, target
-// config), so every seed is a reproducible failure scenario.
+// add one event, and `nomloc_serve --dropout`, `--loss` and `--delay-rate`
+// build whole-run anchor windows.  Observation kinds hit only their
+// event's `share` of the window's observations, picked by a hash of each
+// packet (PDP bits included), so a run stays a pure function of (plan,
+// schedule, target config) and every seed is a reproducible failure
+// scenario.
 //
 // The replay loop steps the clock to each same-timestamp group, ingests
 // the group and flushes it, so every serve runs at its group's logical
@@ -39,8 +44,8 @@
 //     run's;
 //   * with replication on, crash kills and migrations keep bit parity.
 //
-// `nomloc_serve --chaos SEED` and `nomloc_cluster --chaos [SEED]` replay
-// one seed from the command line.
+// `nomloc_serve` and `nomloc_cluster` run every replay on this engine;
+// `--chaos [SEED]` replays one seed from the command line.
 #pragma once
 
 #include <array>
@@ -55,6 +60,7 @@
 #include "common/status.h"
 #include "serving/replay.h"
 #include "serving/service.h"
+#include "serving/wire.h"
 
 namespace nomloc::cluster {
 
@@ -66,10 +72,14 @@ enum class ChaosKind : std::uint8_t {
   /// The next timestamp group runs `magnitude` seconds off the timeline;
   /// the clock resyncs after it.
   kClockJump,
+  /// An AP's reports arrive `magnitude` seconds late: each is admitted as
+  /// if it arrived then, so one that lands past its deadline is
+  /// kRejectedDeadline.
+  kLateDelivery,
   /// `magnitude` filler packets flood the queues, then drain.
   kQueueSaturation,
   // Topology vocabulary (Cluster target).
-  /// Checkpoint + Kill at start_s; Restart(restore) at end_s.
+  /// Checkpoint + Kill at start_s; Restart from that checkpoint at end_s.
   kShardKill,
   /// Live migration (drain, filtered checkpoint, host swap) at start_s.
   kShardMigrate,
@@ -84,7 +94,7 @@ enum class ChaosKind : std::uint8_t {
   /// ClusterConfig::replicate and/or durable_dir.
   kShardKillUnclean,
 };
-inline constexpr std::size_t kChaosKindCount = 9;
+inline constexpr std::size_t kChaosKindCount = 10;
 
 std::string_view ChaosKindName(ChaosKind kind) noexcept;
 
@@ -97,8 +107,11 @@ struct ChaosEvent {
   /// The AP id (anchor kinds) or the shard (topology kinds).
   std::size_t target = 0;
   /// kClockJump: signed jump [s].  kAnchorFlap: up/down period [s].
-  /// kQueueSaturation: burst size in packets.
+  /// kLateDelivery: delay [s].  kQueueSaturation: burst size in packets.
   double magnitude = 0.0;
+  /// The anchor kinds and kLateDelivery hit this share of the
+  /// observations in their window, in [0, 1]; drawn events hit them all.
+  double share = 1.0;
 };
 
 struct ChaosSchedule {
@@ -116,14 +129,15 @@ struct ChaosConfig {
   /// Fault events drawn over the replay window.
   std::size_t events;
   /// Relative draw weight per kind (zero disables a kind); each
-  /// vocabulary draws from its own slice.  Crash kills are off by
-  /// default, so seeds drawn before they existed reproduce bit-identically.
-  std::array<double, kChaosKindCount> weights = {3.0, 2.0, 3.0, 1.0, 1.0,
-                                                 3.0, 2.0, 2.0, 0.0};
+  /// vocabulary draws from its own slice.  Late delivery and crash kills
+  /// are off by default: a zero weight consumes no draw, so seeds drawn
+  /// before they existed reproduce bit-identically.
+  std::array<double, kChaosKindCount> weights = {3.0, 2.0, 3.0, 1.0, 0.0,
+                                                 1.0, 3.0, 2.0, 2.0, 0.0};
   /// Run the golden twin and bit-compare every response (see above).
   /// With replicate on and a mix of crash kills and migrations, every
-  /// mismatch is a bug; a clean kill's Restart(restore) legitimately
-  /// drops post-checkpoint sessions.
+  /// mismatch is a bug; a clean kill's restart from its checkpoint
+  /// legitimately drops post-checkpoint sessions.
   bool check_parity = false;
 
   double& Weight(ChaosKind kind) { return weights[std::size_t(kind)]; }
@@ -163,11 +177,14 @@ struct ChaosOutcome {
 struct ChaosReport {
   ChaosSchedule schedule;
   std::vector<ChaosOutcome> outcomes;  ///< Sorted by (timestamp, object).
-  /// As executed, per kind: anchor kinds count the packets they ate or
-  /// corrupted, every other kind the events that fired.
+  /// The responses themselves, index-aligned with `outcomes`.
+  std::vector<serving::WireResponse> responses;
+  /// As executed, per kind: anchor kinds and late delivery count the
+  /// packets they ate, corrupted or delayed, every other kind the events
+  /// that fired.
   std::array<std::size_t, kChaosKindCount> executed{};
-  /// Windows closed by their recovery action, per kind: Restart(restore)
-  /// for kShardKill, Recover() for kShardKillUnclean.
+  /// Windows closed by their recovery action, per kind: Restart() for
+  /// kShardKill, Recover() for kShardKillUnclean.
   std::array<std::size_t, kChaosKindCount> recovered{};
   /// Admission verdicts over the replayed stream (filler excluded).
   std::array<std::size_t, serving::kAdmitStatusCount> admitted{};
@@ -202,13 +219,14 @@ struct ChaosReport {
 };
 
 /// Replays `plan` through a fresh target while applying `schedule` (sorted
-/// here).  Every event must belong to the target's vocabulary, and shard
-/// targets must exist.  Deterministic for a given configuration: a crash
-/// kill's in-flight loss varies per host, but the post-failover state is
-/// donor-authoritative (the standby saw every accepted observation
-/// synchronously), so responses do not.  The exception is a loopback pipe
-/// smaller than a group's frames: the router's writes then race the host
-/// reader, and admission counts vary from run to run.
+/// here).  Every event must belong to the target's vocabulary, shard
+/// targets must exist, shares lie in [0, 1] and delays are >= 0.
+/// Deterministic for a given configuration: a crash kill's in-flight loss
+/// varies per host, but the post-failover state is donor-authoritative
+/// (the standby saw every accepted observation synchronously), so
+/// responses do not.  The exception is a loopback pipe smaller than a
+/// group's frames: the router's writes then race the host reader, and
+/// admission counts vary from run to run.
 common::Result<ChaosReport> RunChaosSchedule(const core::NomLocEngine& engine,
                                              const serving::ReplayPlan& plan,
                                              double epoch_interval_s,

@@ -50,6 +50,10 @@ std::uint64_t JitterMix(std::uint64_t x) noexcept {
 
 constexpr std::size_t kNoShard = static_cast<std::size_t>(-1);
 
+/// Write-retry backoff: the first wait, doubling up to the cap.
+constexpr double kWriteRetryBaseMs = 1.0;
+constexpr double kWriteRetryMaxMs = 50.0;
+
 }  // namespace
 
 std::span<const std::string_view> AllMetricNames() { return kCounterNames; }
@@ -65,9 +69,6 @@ common::Result<void> ClusterConfig::Validate() const {
     return common::InvalidArgument(
         "replication needs at least two shards (a standby must live "
         "somewhere else)");
-  if (write_retry_base_ms <= 0.0 || write_retry_max_ms < write_retry_base_ms)
-    return common::InvalidArgument(
-        "retry backoff needs 0 < base_ms <= max_ms");
   NOMLOC_RETURN_IF_ERROR(transport.Validate().status());
   NOMLOC_RETURN_IF_ERROR(serving.Validate().status());
   NOMLOC_RETURN_IF_ERROR(shard_breaker.Validate().status());
@@ -95,7 +96,7 @@ struct Cluster::Slot {
   /// Guarded by Cluster::ack_mutex_.
   std::uint64_t acked_token = 0;
   bool reader_done = true;
-  /// Last Checkpoint()/Migrate() dump, for Restart(restore=true).
+  /// Last Checkpoint()/Migrate() dump, for Restart().
   std::string checkpoint;
   /// Last full standby-store dump (replicate mode), saved alongside.
   std::string standby_checkpoint;
@@ -321,7 +322,7 @@ serving::AdmitStatus Cluster::Ingest(const serving::IngestPacket& packet) {
       [&](std::size_t index) -> std::optional<serving::AdmitStatus> {
     auto verdict = try_slot(index);
     if (config_.write_retry_budget == 0) return verdict;
-    double backoff_ms = config_.write_retry_base_ms;
+    double backoff_ms = kWriteRetryBaseMs;
     for (std::size_t attempt = 0;
          verdict.has_value() &&
          *verdict == serving::AdmitStatus::kRejectedQueueFull &&
@@ -334,7 +335,7 @@ serving::AdmitStatus Cluster::Ingest(const serving::IngestPacket& packet) {
       const double sleep_ms = backoff_ms * (0.5 + 0.5 * frac);
       std::this_thread::sleep_for(
           std::chrono::duration<double, std::milli>(sleep_ms));
-      backoff_ms = std::min(backoff_ms * 2.0, config_.write_retry_max_ms);
+      backoff_ms = std::min(backoff_ms * 2.0, kWriteRetryMaxMs);
       verdict = try_slot(index);
     }
     if (verdict.has_value() &&
@@ -712,22 +713,17 @@ void Cluster::Kill(std::size_t shard, bool unclean) {
   Metric("cluster.kills").Increment();
 }
 
-common::Result<void> Cluster::Restart(std::size_t shard, bool restore) {
+common::Result<void> Cluster::Restart(std::size_t shard) {
   if (shard >= slots_.size())
     return common::InvalidArgument("no such shard");
+  std::string dump;
   {
     Slot& slot = *slots_[shard];
     std::lock_guard<std::mutex> lock(slot.mutex);
     if (slot.live) return common::FailedPrecondition("shard is still live");
-  }
-  std::string dump;
-  if (restore) {
-    Slot& slot = *slots_[shard];
-    std::lock_guard<std::mutex> lock(slot.mutex);
     dump = slot.checkpoint;
   }
-  NOMLOC_RETURN_IF_ERROR(AttachHost(shard, restore ? &dump : nullptr)
-                             .status());
+  NOMLOC_RETURN_IF_ERROR(AttachHost(shard, &dump).status());
   Metric("cluster.restarts").Increment();
   return {};
 }
@@ -740,6 +736,9 @@ common::Result<void> Cluster::Recover(std::size_t shard) {
     std::lock_guard<std::mutex> lock(slot.mutex);
     if (slot.live) return common::FailedPrecondition("shard is still live");
   }
+  // A crash no write has found yet has promoted nothing: fail over first,
+  // so the repair below hands the standby copies back to this shard.
+  MaybeFailover(shard);
   // The fresh host self-restores from its checkpoint files + WAL replay
   // when the cluster is durable (ShardHost::Recover).
   NOMLOC_RETURN_IF_ERROR(AttachHost(shard, nullptr).status());

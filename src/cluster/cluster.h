@@ -77,7 +77,7 @@ namespace nomloc::cluster {
 struct ClusterConfig {
   std::size_t shards = 4;
   TransportConfig transport;
-  /// Per-host serving config (workers, queue bounds, store, faults...).
+  /// Per-host serving config (workers, queue bounds, store, breakers...).
   serving::ServingConfig serving;
   /// Per-shard transport health breakers.
   serving::CircuitBreakerConfig shard_breaker;
@@ -97,16 +97,14 @@ struct ClusterConfig {
   bool wal_fsync = true;
   /// Router-side reconnect/retry policy: a transport write that reports
   /// backpressure is retried up to this many times with exponential
-  /// backoff + deterministic jitter before the typed kRejectedQueueFull
-  /// is surfaced (0 = reject immediately, the pre-replication behavior).
-  /// An exhausted budget also feeds the shard's breaker, so persistent
-  /// pressure trips it and re-admission flows through the half-open
-  /// probe.  True re-dialing does not exist for in-process link pairs —
-  /// Restart()/Recover() is the reconnect; the budget covers the
-  /// transient window.
+  /// backoff (1 ms doubling to 50 ms) + deterministic jitter before the
+  /// typed kRejectedQueueFull is surfaced (0 = reject immediately, the
+  /// pre-replication behavior).  An exhausted budget also feeds the
+  /// shard's breaker, so persistent pressure trips it and re-admission
+  /// flows through the half-open probe.  True re-dialing does not exist
+  /// for in-process link pairs — Restart()/Recover() is the reconnect;
+  /// the budget covers the transient window.
   std::size_t write_retry_budget = 0;
-  double write_retry_base_ms = 1.0;
-  double write_retry_max_ms = 50.0;
 
   common::Result<void> Validate() const;
 };
@@ -143,7 +141,7 @@ class Cluster {
   std::vector<ClusterResponse> TakeResponses();
 
   /// Flush + filtered checkpoint of `shard`'s store (only ids its
-  /// placement slot owns); the dump is kept for Restart(restore=true).
+  /// placement slot owns); the dump is kept for Restart().
   common::Result<void> Checkpoint(std::size_t shard);
 
   /// Live migration: drain, checkpoint (filtered), restore into a fresh
@@ -158,11 +156,11 @@ class Cluster {
   /// back only through Recover()'s WAL replay, never a graceful drain.
   void Kill(std::size_t shard, bool unclean = false);
 
-  /// Brings a killed shard back on a fresh host + link.  With `restore`,
-  /// the last Checkpoint()/Migrate() dump is loaded first (sessions since
-  /// that dump are lost — they age out via TTL).  The shard's breaker is
-  /// kept: the router re-admits it through the half-open probe path.
-  common::Result<void> Restart(std::size_t shard, bool restore);
+  /// Brings a killed shard back on a fresh host + link, loaded from the
+  /// last Checkpoint()/Migrate() dump (sessions since that dump are lost —
+  /// they age out via TTL).  The shard's breaker is kept: the router
+  /// re-admits it through the half-open probe path.
+  common::Result<void> Restart(std::size_t shard);
 
   /// Full recovery of a killed shard: reattach a host (which, with a
   /// durable_dir, self-restores from its checkpoint files + WAL replay),

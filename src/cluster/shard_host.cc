@@ -202,9 +202,7 @@ void ShardHost::ApplyEvent(const serving::WireEvent& event,
     case serving::kWireObservationFrame:
     case serving::kWireQueryFrame: {
       clock_.Set(std::max(clock_.NowSeconds(), event.packet.timestamp_s));
-      const serving::AdmitStatus admit = localizer_->Ingest(event.packet);
-      if (admit != serving::AdmitStatus::kAccepted &&
-          admit != serving::AdmitStatus::kDroppedByFault)
+      if (localizer_->Ingest(event.packet) != serving::AdmitStatus::kAccepted)
         HostRejected().Increment();
       break;
     }

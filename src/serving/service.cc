@@ -19,11 +19,9 @@ constexpr std::string_view kCounterNames[] = {
     "serving.rejected.deadline",    "serving.sessions.created",
     "serving.sessions.evicted",     "serving.observations.evicted",
     "serving.degraded",             "serving.solve.failed",
-    "serving.faults.ap_dropout",    "serving.faults.packet_loss",
-    "serving.faults.delayed",       "serving.rejected.corrupt",
-    "serving.rejected.breaker",     "serving.breaker.opened",
-    "serving.breaker.reclosed",     "serving.retries",
-    "serving.fallback.last_known_good",
+    "serving.rejected.corrupt",     "serving.rejected.breaker",
+    "serving.breaker.opened",       "serving.breaker.reclosed",
+    "serving.retries",              "serving.fallback.last_known_good",
     "serving.checkpoint.restored",  "serving.solver.sessions",
     "serving.evictions.pressure",   "serving.wire.parse_failures",
     "serving.wire.bytes_in",        "serving.wire.bytes_out",
@@ -47,11 +45,9 @@ constexpr std::string_view kAllNames[] = {
     "serving.rejected.deadline",    "serving.sessions.created",
     "serving.sessions.evicted",     "serving.observations.evicted",
     "serving.degraded",             "serving.solve.failed",
-    "serving.faults.ap_dropout",    "serving.faults.packet_loss",
-    "serving.faults.delayed",       "serving.rejected.corrupt",
-    "serving.rejected.breaker",     "serving.breaker.opened",
-    "serving.breaker.reclosed",     "serving.retries",
-    "serving.fallback.last_known_good",
+    "serving.rejected.corrupt",     "serving.rejected.breaker",
+    "serving.breaker.opened",       "serving.breaker.reclosed",
+    "serving.retries",              "serving.fallback.last_known_good",
     "serving.checkpoint.restored",  "serving.solver.sessions",
     "serving.evictions.pressure",   "serving.wire.parse_failures",
     "serving.wire.bytes_in",        "serving.wire.bytes_out",
@@ -90,7 +86,6 @@ void TouchMetrics() {
 std::string_view AdmitStatusName(AdmitStatus status) noexcept {
   switch (status) {
     case AdmitStatus::kAccepted: return "ACCEPTED";
-    case AdmitStatus::kDroppedByFault: return "DROPPED_BY_FAULT";
     case AdmitStatus::kRejectedQueueFull: return "REJECTED_QUEUE_FULL";
     case AdmitStatus::kRejectedDeadline: return "REJECTED_DEADLINE";
     case AdmitStatus::kRejectedShutdown: return "REJECTED_SHUTDOWN";
@@ -115,7 +110,6 @@ common::Result<void> ServingConfig::Validate() const {
   if (queue_capacity == 0)
     return common::InvalidArgument("queue_capacity must be >= 1");
   if (auto valid = store.Validate(); !valid.ok()) return valid;
-  if (auto valid = faults.Validate(); !valid.ok()) return valid;
   if (auto valid = breaker.Validate(); !valid.ok()) return valid;
   return {};
 }
@@ -166,7 +160,6 @@ StreamingLocalizer::StreamingLocalizer(const core::NomLocEngine& engine,
     : engine_(engine),
       config_(std::move(config)),
       store_(config_.store),
-      faults_(config_.faults),
       breakers_(config_.breaker) {
   if (clock == nullptr) {
     owned_clock_ = std::make_unique<SteadyClock>();
@@ -203,12 +196,6 @@ AdmitStatus StreamingLocalizer::Ingest(const IngestPacket& packet) {
   if (shutdown_.load(std::memory_order_acquire))
     return AdmitStatus::kRejectedShutdown;
 
-  double arrival_delay_s = 0.0;
-  if (packet.kind == PacketKind::kObservation && config_.faults.Enabled()) {
-    const FaultDecision decision = faults_.OnObservation(packet.ap_id);
-    if (decision.drop) return AdmitStatus::kDroppedByFault;
-    arrival_delay_s = decision.extra_delay_s;
-  }
   if (packet.kind == PacketKind::kObservation) {
     // Anchor health: an open breaker short-circuits the AP entirely; a
     // half-open one admits exactly one probe, judged by the corruption
@@ -225,9 +212,7 @@ AdmitStatus StreamingLocalizer::Ingest(const IngestPacket& packet) {
     }
     breakers_.RecordSuccess(packet.ap_id, breaker_now_s);
   }
-  // A delayed packet is admitted as if it arrived `arrival_delay_s` later:
-  // if that lands past the deadline, the network already lost the race.
-  if (clock_->NowSeconds() + arrival_delay_s > packet.deadline_s) {
+  if (clock_->NowSeconds() > packet.deadline_s) {
     past_deadline.Increment();
     return AdmitStatus::kRejectedDeadline;
   }

@@ -26,11 +26,12 @@
 // kRejectedDeadline — queries still yield a (rejection) response, so every
 // accepted query produces exactly one ServeResponse.
 //
-// Graceful degradation: fault injection (AP dropout, packet loss, delay)
-// runs at the ingest boundary; the solver simply sees the reduced anchor
-// set, and each response reports the feasible-cell area plus a confidence
-// in [0, 1] derived from it, with `degraded` flagging responses whose
-// constraint set is smaller than expected (aged-out or dropped anchors).
+// Graceful degradation: when APs die or reports go missing (the chaos
+// engine, cluster/chaos.h, injects both upstream of Ingest), the solver
+// simply sees the reduced anchor set, and each response reports the
+// feasible-cell area plus a confidence in [0, 1] derived from it, with
+// `degraded` flagging responses whose constraint set is smaller than
+// expected (aged-out or missing anchors).
 //
 // All serving metrics are namespaced `serving.*`; AllMetricNames() is the
 // canonical list (tested against --metrics output).
@@ -51,7 +52,6 @@
 #include "core/nomloc.h"
 #include "serving/circuit_breaker.h"
 #include "serving/clock.h"
-#include "serving/fault_injection.h"
 #include "serving/session_store.h"
 
 namespace nomloc::serving {
@@ -96,7 +96,6 @@ bool IsCorruptObservation(const IngestPacket& packet) noexcept;
 /// Synchronous admission verdict returned by Ingest().
 enum class AdmitStatus {
   kAccepted,
-  kDroppedByFault,     ///< Fault injection consumed the packet.
   kRejectedQueueFull,  ///< Backpressure: the worker's queue is at capacity.
   kRejectedDeadline,   ///< Deadline already passed at admission.
   kRejectedShutdown,   ///< Service is shutting down.
@@ -158,7 +157,6 @@ struct ServingConfig {
   /// kRejectedQueueFull.
   std::size_t queue_capacity = 1024;
   SessionStoreConfig store;
-  FaultConfig faults;
   /// Anchors a healthy session is expected to hold (0 = unknown).  Used
   /// only for the `degraded` flag, e.g. static APs + nomadic sites.
   std::size_t expected_anchors = 0;
@@ -207,8 +205,9 @@ class StreamingLocalizer {
   StreamingLocalizer(const StreamingLocalizer&) = delete;
   StreamingLocalizer& operator=(const StreamingLocalizer&) = delete;
 
-  /// Non-blocking admission.  Applies fault injection to observations,
-  /// checks the deadline and the target queue's capacity, and enqueues.
+  /// Non-blocking admission.  Screens observations (anchor breaker,
+  /// corruption), checks the deadline and the target queue's capacity,
+  /// and enqueues.
   AdmitStatus Ingest(const IngestPacket& packet);
 
   /// Releases the workers of a start_paused service.  No-op otherwise.
@@ -258,7 +257,6 @@ class StreamingLocalizer {
   std::unique_ptr<SteadyClock> owned_clock_;
   const Clock* clock_;  ///< Never null.
   SessionStore store_;
-  FaultInjector faults_;
   BreakerBank breakers_;
 
   std::vector<std::unique_ptr<WorkerQueue>> queues_;

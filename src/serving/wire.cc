@@ -1,11 +1,8 @@
 #include "serving/wire.h"
 
 #include <bit>
-#include <cmath>
-#include <limits>
 #include <utility>
 
-#include "common/json.h"
 #include "common/metrics.h"
 
 namespace nomloc::serving {
@@ -116,21 +113,6 @@ IngestPacket GetObservationBody(const char* p) noexcept {
 
 std::uint32_t WireFnv1a(std::string_view bytes) noexcept {
   return Fnv1a(bytes);
-}
-
-std::string_view WireFormatName(WireFormat format) noexcept {
-  switch (format) {
-    case WireFormat::kBinary: return "binary";
-    case WireFormat::kJson: return "json";
-  }
-  return "unknown";
-}
-
-common::Result<WireFormat> ParseWireFormatName(std::string_view name) {
-  if (name == "binary") return WireFormat::kBinary;
-  if (name == "json") return WireFormat::kJson;
-  return common::InvalidArgument("unknown wire format '" + std::string(name) +
-                                 "' (expected binary|json)");
 }
 
 void AppendWireFrame(const IngestPacket& packet, std::string& out) {
@@ -260,105 +242,6 @@ common::Result<std::vector<IngestPacket>> DecodeWireBinary(
     offset += frame_bytes;
   }
   return packets;
-}
-
-std::string EncodeWireJson(std::span<const IngestPacket> packets) {
-  std::string out;
-  for (const IngestPacket& packet : packets) {
-    common::JsonObject obj;
-    obj["object_id"] = common::Json(double(packet.object_id));
-    obj["t"] = common::Json(packet.timestamp_s);
-    // JSON has no Inf literal: the default "never" deadline is encoded
-    // by omission.
-    if (std::isfinite(packet.deadline_s))
-      obj["deadline"] = common::Json(packet.deadline_s);
-    if (packet.kind == PacketKind::kObservation) {
-      obj["kind"] = common::Json("obs");
-      obj["ap_id"] = common::Json(packet.ap_id);
-      obj["site"] = common::Json(packet.site_index);
-      obj["nomadic"] = common::Json(packet.is_nomadic);
-      obj["x"] = common::Json(packet.reported_position.x);
-      obj["y"] = common::Json(packet.reported_position.y);
-      obj["pdp"] = common::Json(packet.pdp);
-      obj["weight"] = common::Json(packet.weight);
-    } else {
-      obj["kind"] = common::Json("query");
-    }
-    out += common::Json(std::move(obj)).Dump();
-    out.push_back('\n');
-  }
-  BytesOut().Increment(out.size());
-  return out;
-}
-
-common::Result<std::vector<IngestPacket>> DecodeWireJson(
-    std::string_view text) {
-  BytesIn().Increment(text.size());
-  std::vector<IngestPacket> packets;
-  std::size_t line_number = 0;
-  std::size_t start = 0;
-  while (start <= text.size()) {
-    std::size_t end = text.find('\n', start);
-    if (end == std::string_view::npos) end = text.size();
-    const std::string_view line = text.substr(start, end - start);
-    start = end + 1;
-    ++line_number;
-    if (line.empty()) continue;
-    auto fail = [&](const std::string& why) {
-      ParseFailures().Increment();
-      return common::DataCorruption("corrupt wire line " +
-                                    std::to_string(line_number) + ": " + why);
-    };
-    auto parsed = common::Json::Parse(line);
-    if (!parsed.ok()) return fail(parsed.status().message());
-    auto decoded = [&]() -> common::Result<IngestPacket> {
-      IngestPacket packet;
-      NOMLOC_ASSIGN_OR_RETURN(std::string kind, parsed->GetString("kind"));
-      NOMLOC_ASSIGN_OR_RETURN(double object_id,
-                              parsed->GetDouble("object_id"));
-      if (!(object_id >= 0.0) || object_id != std::floor(object_id))
-        return common::DataCorruption("object_id is not an integer");
-      packet.object_id = std::uint64_t(object_id);
-      NOMLOC_ASSIGN_OR_RETURN(packet.timestamp_s, parsed->GetDouble("t"));
-      if (auto deadline = parsed->GetDouble("deadline"); deadline.ok())
-        packet.deadline_s = *deadline;
-      if (kind == "obs") {
-        packet.kind = PacketKind::kObservation;
-        NOMLOC_ASSIGN_OR_RETURN(double ap_id, parsed->GetDouble("ap_id"));
-        packet.ap_id = int(ap_id);
-        NOMLOC_ASSIGN_OR_RETURN(double site, parsed->GetDouble("site"));
-        packet.site_index = std::size_t(site);
-        NOMLOC_ASSIGN_OR_RETURN(packet.is_nomadic,
-                                parsed->GetBool("nomadic"));
-        NOMLOC_ASSIGN_OR_RETURN(packet.reported_position.x,
-                                parsed->GetDouble("x"));
-        NOMLOC_ASSIGN_OR_RETURN(packet.reported_position.y,
-                                parsed->GetDouble("y"));
-        NOMLOC_ASSIGN_OR_RETURN(packet.pdp, parsed->GetDouble("pdp"));
-        NOMLOC_ASSIGN_OR_RETURN(packet.weight, parsed->GetDouble("weight"));
-      } else if (kind == "query") {
-        packet.kind = PacketKind::kQuery;
-      } else {
-        return common::DataCorruption("unknown packet kind '" + kind + "'");
-      }
-      return packet;
-    }();
-    if (!decoded.ok()) return fail(decoded.status().message());
-    packets.push_back(*decoded);
-  }
-  return packets;
-}
-
-std::string EncodeWire(std::span<const IngestPacket> packets,
-                       WireFormat format) {
-  return format == WireFormat::kBinary ? EncodeWireBinary(packets)
-                                       : EncodeWireJson(packets);
-}
-
-common::Result<std::vector<IngestPacket>> DecodeWire(std::string_view bytes,
-                                                     WireFormat format) {
-  return format == WireFormat::kBinary ? DecodeWireBinary(bytes)
-                                       : DecodeWireJson(bytes);
 }
 
 common::Status WireDecoder::Poison(std::string_view what, std::size_t offset) {

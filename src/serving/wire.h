@@ -1,9 +1,9 @@
 // Hot-ingest wire format: a versioned little-endian binary framing for
-// IngestPacket streams, with an NDJSON fallback.
+// IngestPacket streams.
 //
 // The serving layer's ingest path is fan-in bound: at millions of
 // sessions the cost of *parsing* each report dominates the cost of
-// storing it.  JSON burns that budget on tokenising doubles; the binary
+// storing it.  Text formats burn that budget on tokenising doubles; this
 // format is a fixed-width frame per packet (70 B observation / 29 B
 // query) that decodes with bit_cast and a checksum — no allocation, no
 // number grammar.  See DESIGN.md "Serving at scale" for the field table.
@@ -17,12 +17,8 @@
 // 32-bit FNV-1a over the frame bytes preceding it, so truncation and
 // bit-flips surface as typed kDataCorruption errors with the byte offset
 // where decoding broke (mirroring net::ParseTrace).  Every failed decode
-// — binary or JSON — increments `serving.wire.parse_failures`.
-//
-// Doubles round-trip bit-exactly in both formats (the JSON fallback
-// prints shortest-round-trip decimals), with two JSON-side caveats:
-// object ids above 2^53 lose precision, and an infinite deadline is
-// encoded by omitting the field (JSON has no Inf literal).
+// increments `serving.wire.parse_failures`.  Doubles round-trip
+// bit-exactly, infinite deadlines included.
 //
 // `scheduled_wall` is deliberately not part of the wire: it is a
 // process-local steady_clock stamp the open-loop generator applies at
@@ -66,15 +62,6 @@ inline constexpr std::size_t kWireControlBytes = 30;
 /// kind + slot u32 + epoch u64 + observation body + checksum.
 inline constexpr std::size_t kWireReplicateBytes = 82;
 
-enum class WireFormat {
-  kBinary,  ///< The fixed-width frame format above (the hot path).
-  kJson,    ///< NDJSON fallback: one compact JSON object per line.
-};
-
-std::string_view WireFormatName(WireFormat format) noexcept;
-/// Parses "binary" / "json" (kInvalidArgument otherwise).
-common::Result<WireFormat> ParseWireFormatName(std::string_view name);
-
 /// Appends one binary frame for `packet` to `out` (no stream header).
 void AppendWireFrame(const IngestPacket& packet, std::string& out);
 
@@ -86,22 +73,6 @@ std::string EncodeWireBinary(std::span<const IngestPacket> packets);
 /// magic, unknown frame kinds, truncation, or checksum mismatch.
 common::Result<std::vector<IngestPacket>> DecodeWireBinary(
     std::string_view bytes);
-
-/// Encodes the NDJSON fallback: one compact JSON object per line,
-/// trailing newline after each.
-std::string EncodeWireJson(std::span<const IngestPacket> packets);
-
-/// Decodes the NDJSON fallback.  Blank lines are skipped; any
-/// unparseable or schema-violating line fails with kDataCorruption
-/// naming the 1-based line number.
-common::Result<std::vector<IngestPacket>> DecodeWireJson(
-    std::string_view text);
-
-/// Dispatch helpers for tools that take a --wire flag.
-std::string EncodeWire(std::span<const IngestPacket> packets,
-                       WireFormat format);
-common::Result<std::vector<IngestPacket>> DecodeWire(std::string_view bytes,
-                                                     WireFormat format);
 
 /// A shard host's answer to one accepted query, reduced to the fields a
 /// router (or a bit-identity check against an unsharded golden run) needs.

@@ -121,7 +121,7 @@ TEST(Cluster, KillRestoreCycleRoutesAroundAndStaysBitIdentical) {
           (*cluster)->Kill(victim);
           EXPECT_FALSE((*cluster)->ShardLive(victim));
         } else if (finished == 3) {
-          ASSERT_TRUE((*cluster)->Restart(victim, /*restore=*/true).ok());
+          ASSERT_TRUE((*cluster)->Restart(victim).ok());
           EXPECT_TRUE((*cluster)->ShardLive(victim));
         }
       });

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <map>
 #include <numeric>
 
@@ -111,6 +112,34 @@ TEST(ChaosSchedule, DeterministicPerSeed) {
   EXPECT_LT(a.last_event_end_s, duration_s);
 }
 
+TEST(ChaosSchedule, LateDeliveryIsDrawnOnlyWhenWeighted) {
+  auto harness = MakeHarness(5, {});
+  ASSERT_TRUE(harness.ok());
+  const double interval_s = harness->replay.epoch_interval_s;
+  cluster::ChaosConfig chaos;
+  chaos.seed = 7;
+  for (const cluster::ChaosEvent& event :
+       cluster::BuildChaosSchedule(chaos, cluster::ChaosVocabulary::kDataPlane,
+                                   harness->plan, interval_s,
+                                   harness->plan.expected_anchors)
+           .events)
+    EXPECT_NE(event.kind, cluster::ChaosKind::kLateDelivery);
+  chaos.weights.fill(0.0);
+  chaos.Weight(cluster::ChaosKind::kLateDelivery) = 1.0;
+  const auto late = cluster::BuildChaosSchedule(
+      chaos, cluster::ChaosVocabulary::kDataPlane, harness->plan, interval_s,
+      harness->plan.expected_anchors);
+  ASSERT_EQ(late.events.size(), chaos.events);
+  for (const cluster::ChaosEvent& event : late.events) {
+    EXPECT_EQ(event.kind, cluster::ChaosKind::kLateDelivery);
+    EXPECT_GT(event.end_s, event.start_s);
+    EXPECT_LT(event.target, harness->plan.expected_anchors);
+    EXPECT_GE(event.magnitude, 0.0);
+    EXPECT_LT(event.magnitude, interval_s);
+    EXPECT_EQ(event.share, 1.0);
+  }
+}
+
 TEST(ChaosRun, NoEventsIsFaultFree) {
   auto harness = MakeHarness(3, {});
   ASSERT_TRUE(harness.ok());
@@ -204,6 +233,162 @@ TEST(ChaosRun, DegradationLadderEngagesUnderTightBudget) {
                                report->degradation_counts[3];
   EXPECT_GT(degraded, 0u)
       << "tight budget should push responses down the ladder";
+}
+
+// The fault flags of nomloc_serve as hand-built schedules.  Each spans
+// the whole run; `share` < 1 hits that share of the AP's observations.
+cluster::ChaosEvent WholeRun(const Harness& harness, cluster::ChaosKind kind,
+                             int ap, double magnitude = 0.0,
+                             double share = 1.0) {
+  const double end_s = double(harness.plan.epoch_count) *
+                       harness.replay.epoch_interval_s;
+  return {kind, 0.0, end_s, std::size_t(ap), magnitude, share};
+}
+
+std::size_t ObservationsOf(const ReplayPlan& plan, int ap) {
+  std::size_t count = 0;
+  for (const IngestPacket& packet : plan.packets)
+    count += packet.kind == PacketKind::kObservation && packet.ap_id == ap;
+  return count;
+}
+
+std::uint64_t Bits(double value) {
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &value, sizeof bits);
+  return bits;
+}
+
+TEST(ChaosFaults, HandBuiltScheduleIsDeterministic) {
+  auto harness = MakeHarness(4, {});
+  ASSERT_TRUE(harness.ok());
+  for (IngestPacket& packet : harness->plan.packets)
+    packet.deadline_s = packet.timestamp_s + 0.5;
+  cluster::ChaosSchedule schedule;
+  schedule.events = {
+      WholeRun(*harness, cluster::ChaosKind::kAnchorDeath, 1),
+      WholeRun(*harness, cluster::ChaosKind::kAnchorDeath, 2, 0.0, 0.3),
+      WholeRun(*harness, cluster::ChaosKind::kLateDelivery, 3, 0.6, 0.5)};
+  const auto run = [&] {
+    return cluster::RunChaosSchedule(harness->engine, harness->plan,
+                                     harness->replay.epoch_interval_s,
+                                     schedule, ChaosServingConfig());
+  };
+  auto a = run();
+  auto b = run();
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+  AssertInvariants(*a, *harness);
+  EXPECT_EQ(a->executed, b->executed);
+  EXPECT_EQ(a->admitted, b->admitted);
+  EXPECT_GT(a->Executed(cluster::ChaosKind::kLateDelivery), 0u);
+  EXPECT_GT(a->Admitted(AdmitStatus::kRejectedDeadline), 0u);
+  ASSERT_EQ(a->responses.size(), b->responses.size());
+  for (std::size_t i = 0; i < a->responses.size(); ++i) {
+    const WireResponse& x = a->responses[i];
+    const WireResponse& y = b->responses[i];
+    EXPECT_EQ(x.object_id, y.object_id);
+    EXPECT_EQ(x.status, y.status);
+    EXPECT_EQ(x.anchor_count, y.anchor_count);
+    EXPECT_EQ(Bits(x.position.x), Bits(y.position.x));
+    EXPECT_EQ(Bits(x.position.y), Bits(y.position.y));
+    EXPECT_EQ(Bits(x.confidence), Bits(y.confidence));
+  }
+}
+
+TEST(ChaosFaults, DeadApAdmitsNoObservation) {
+  auto harness = MakeHarness(3, {});
+  ASSERT_TRUE(harness.ok());
+  const int dead_ap = 2;
+  cluster::ChaosSchedule schedule;
+  schedule.events = {
+      WholeRun(*harness, cluster::ChaosKind::kAnchorDeath, dead_ap)};
+  auto report = cluster::RunChaosSchedule(
+      harness->engine, harness->plan, harness->replay.epoch_interval_s,
+      schedule, ChaosServingConfig());
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  AssertInvariants(*report, *harness);
+  const std::size_t dead = ObservationsOf(harness->plan, dead_ap);
+  ASSERT_GT(dead, 0u);
+  EXPECT_EQ(report->Executed(cluster::ChaosKind::kAnchorDeath), dead);
+  EXPECT_EQ(report->Admitted(AdmitStatus::kAccepted),
+            harness->plan.packets.size() - dead);
+  // Every fix is solved without the dead AP (anchor index = ap_id).
+  for (std::size_t i = 0; i < report->responses.size(); ++i) {
+    const cluster::ChaosOutcome& outcome = report->outcomes[i];
+    const std::size_t anchors =
+        harness->plan
+            .epochs[outcome.epoch * harness->plan.objects + outcome.object_id]
+            .anchors.size();
+    EXPECT_EQ(report->responses[i].anchor_count,
+              anchors - (anchors > std::size_t(dead_ap) ? 1 : 0));
+  }
+}
+
+TEST(ChaosFaults, LossShareTracksTheRate) {
+  auto harness = MakeHarness(5, {});
+  ASSERT_TRUE(harness.ok());
+  const double rate = 0.3;
+  cluster::ChaosSchedule schedule;
+  std::size_t observations = 0;
+  for (int ap = 0; ap < int(harness->plan.expected_anchors); ++ap) {
+    schedule.events.push_back(
+        WholeRun(*harness, cluster::ChaosKind::kAnchorDeath, ap, 0.0, rate));
+    observations += ObservationsOf(harness->plan, ap);
+  }
+  auto report = cluster::RunChaosSchedule(
+      harness->engine, harness->plan, harness->replay.epoch_interval_s,
+      schedule, ChaosServingConfig());
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  AssertInvariants(*report, *harness);
+  const double lost =
+      double(report->Executed(cluster::ChaosKind::kAnchorDeath));
+  EXPECT_NEAR(lost, rate * double(observations),
+              0.5 * rate * double(observations));
+}
+
+TEST(ChaosFaults, LateDeliveryPastTheDeadlineIsRejected) {
+  auto harness = MakeHarness(3, {});
+  ASSERT_TRUE(harness.ok());
+  for (IngestPacket& packet : harness->plan.packets)
+    packet.deadline_s = packet.timestamp_s + 0.5;
+  // AP 0 arrives within its deadline, AP 1 past it.
+  cluster::ChaosSchedule schedule;
+  schedule.events = {
+      WholeRun(*harness, cluster::ChaosKind::kLateDelivery, 0, 0.3),
+      WholeRun(*harness, cluster::ChaosKind::kLateDelivery, 1, 0.7)};
+  auto report = cluster::RunChaosSchedule(
+      harness->engine, harness->plan, harness->replay.epoch_interval_s,
+      schedule, ChaosServingConfig());
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  AssertInvariants(*report, *harness);
+  const std::size_t late = ObservationsOf(harness->plan, 1);
+  EXPECT_EQ(report->Executed(cluster::ChaosKind::kLateDelivery),
+            ObservationsOf(harness->plan, 0) + late);
+  EXPECT_EQ(report->Admitted(AdmitStatus::kRejectedDeadline), late);
+  EXPECT_EQ(report->Admitted(AdmitStatus::kAccepted),
+            harness->plan.packets.size() - late);
+}
+
+TEST(ChaosFaults, ShareOutsideUnitOrNegativeDelayIsInvalid) {
+  auto harness = MakeHarness(3, {});
+  ASSERT_TRUE(harness.ok());
+  const auto run = [&](cluster::ChaosEvent event) {
+    cluster::ChaosSchedule schedule;
+    schedule.events = {event};
+    return cluster::RunChaosSchedule(harness->engine, harness->plan,
+                                     harness->replay.epoch_interval_s,
+                                     schedule, ChaosServingConfig());
+  };
+  for (double share : {-0.1, 1.5, std::nan("")}) {
+    auto report = run(
+        WholeRun(*harness, cluster::ChaosKind::kAnchorDeath, 0, 0.0, share));
+    ASSERT_FALSE(report.ok()) << "share " << share;
+    EXPECT_EQ(report.status().code(), common::StatusCode::kInvalidArgument);
+  }
+  auto report =
+      run(WholeRun(*harness, cluster::ChaosKind::kLateDelivery, 0, -0.1));
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), common::StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -20,7 +20,6 @@
 #include "core/nomloc.h"
 #include "eval/scenario.h"
 #include "serving/clock.h"
-#include "serving/fault_injection.h"
 #include "serving/replay.h"
 
 namespace nomloc::serving {
@@ -104,9 +103,6 @@ TEST_F(ServiceTest, ConfigValidation) {
   EXPECT_FALSE(StreamingLocalizer::Create(*engine_, config).ok());
   config = {};
   config.queue_capacity = 0;
-  EXPECT_FALSE(StreamingLocalizer::Create(*engine_, config).ok());
-  config = {};
-  config.faults.ap_dropout_rate = 1.5;
   EXPECT_FALSE(StreamingLocalizer::Create(*engine_, config).ok());
 }
 
@@ -364,20 +360,6 @@ TEST_F(ServiceTest, BackToBackLifecyclesNeverLoseAWakeUp) {
     service->Shutdown();
     ASSERT_EQ(service->TakeResponses().size(), cycle % 4 < 2 ? 1u : 0u)
         << "cycle " << cycle;
-  }
-}
-
-TEST_F(ServiceTest, FaultInjectorIsDeterministicAndMemoizesDropout) {
-  FaultConfig config;
-  config.ap_dropout_rate = 0.5;
-  config.packet_loss_rate = 0.0;
-  config.seed = 42;
-  FaultInjector a(config), b(config);
-  for (int ap = 0; ap < 16; ++ap) {
-    const bool first = a.OnObservation(ap).drop;
-    EXPECT_EQ(first, b.OnObservation(ap).drop);  // same seed, same fate
-    EXPECT_EQ(first, a.OnObservation(ap).drop);  // memoized per AP
-    EXPECT_EQ(first, a.ApIsDown(ap));
   }
 }
 

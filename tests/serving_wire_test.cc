@@ -1,4 +1,4 @@
-// Wire codec contract: bit-exact round-trips in both formats, typed
+// Wire codec contract: bit-exact round-trips, typed
 // kDataCorruption on truncation/bit-flips (with byte offsets, reusing the
 // PR 5 corruption failure domain), and parse-failure accounting.
 #include "serving/wire.h"
@@ -83,16 +83,6 @@ TEST(WireBinary, RandomizedRoundTripBitEqual) {
     EXPECT_TRUE(BitEqual(packets[i], (*decoded)[i])) << "packet " << i;
 }
 
-TEST(WireJson, RandomizedRoundTripBitEqual) {
-  const auto packets = RandomStream(200, 23);
-  const std::string text = EncodeWireJson(packets);
-  auto decoded = DecodeWireJson(text);
-  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
-  ASSERT_EQ(decoded->size(), packets.size());
-  for (std::size_t i = 0; i < packets.size(); ++i)
-    EXPECT_TRUE(BitEqual(packets[i], (*decoded)[i])) << "packet " << i;
-}
-
 TEST(WireBinary, FrameSizesMatchSpec) {
   IngestPacket obs;
   obs.kind = PacketKind::kObservation;
@@ -109,17 +99,6 @@ TEST(WireBinary, InfiniteDeadlineSurvives) {
   packet.kind = PacketKind::kQuery;
   packet.deadline_s = std::numeric_limits<double>::infinity();
   auto decoded = DecodeWireBinary(EncodeWireBinary({&packet, 1}));
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_TRUE(std::isinf((*decoded)[0].deadline_s));
-}
-
-TEST(WireJson, InfiniteDeadlineOmittedAndRestored) {
-  IngestPacket packet;
-  packet.kind = PacketKind::kQuery;
-  packet.deadline_s = std::numeric_limits<double>::infinity();
-  const std::string text = EncodeWireJson({&packet, 1});
-  EXPECT_EQ(text.find("deadline"), std::string::npos);
-  auto decoded = DecodeWireJson(text);
   ASSERT_TRUE(decoded.ok());
   EXPECT_TRUE(std::isinf((*decoded)[0].deadline_s));
 }
@@ -185,31 +164,12 @@ TEST(WireBinary, BadMagicAndVersionTyped) {
   }
 }
 
-TEST(WireJson, GarbageLineIsDataCorruptionWithLineNumber) {
-  const auto packets = RandomStream(3, 13);
-  std::string text = EncodeWireJson(packets);
-  text += "{not json\n";
-  auto decoded = DecodeWireJson(text);
-  ASSERT_FALSE(decoded.ok());
-  EXPECT_EQ(decoded.status().code(), common::StatusCode::kDataCorruption);
-  EXPECT_NE(decoded.status().message().find("line 4"), std::string::npos);
-}
-
 TEST(Wire, ParseFailuresCounterIncrements) {
   auto& counter = common::MetricRegistry::Global().Counter(
       "serving.wire.parse_failures");
   const auto before = counter.Value();
   (void)DecodeWireBinary("garbage");
-  (void)DecodeWireJson("also garbage\n");
-  EXPECT_EQ(counter.Value(), before + 2);
-}
-
-TEST(Wire, FormatNamesRoundTrip) {
-  EXPECT_EQ(WireFormatName(WireFormat::kBinary), "binary");
-  EXPECT_EQ(WireFormatName(WireFormat::kJson), "json");
-  ASSERT_TRUE(ParseWireFormatName("binary").ok());
-  ASSERT_TRUE(ParseWireFormatName("json").ok());
-  EXPECT_FALSE(ParseWireFormatName("msgpack").ok());
+  EXPECT_EQ(counter.Value(), before + 1);
 }
 
 }  // namespace

@@ -15,7 +15,9 @@
 // a topology schedule: empty by default, hand-built by --migrate, --kill
 // and --kill-primary, or seeded by --chaos.  Prints the shard topology,
 // the schedule and what of it executed, admission tallies, localization
-// error (also over the tail after the last event clears), and throughput.
+// error (also over the tail after the last event clears), throughput, and
+// latency percentiles from the serving.latency timer, which every
+// in-process localizer records into.
 //
 // --check runs the engine's golden twin, one unsharded StreamingLocalizer
 // fed the accepted packets, and exits non-zero unless every response
@@ -345,6 +347,12 @@ int main(int argc, char** argv) {
   std::printf("throughput: %.0f packets/s (%zu packets in %.3f s)\n",
               wall_s > 0.0 ? double(accepted) / wall_s : 0.0, accepted,
               wall_s);
+  const common::MetricHistogram& latency =
+      common::MetricRegistry::Global().Timer("serving.latency").Histogram();
+  if (latency.Count() > 0)
+    std::printf("latency: p50 %.3f ms | p95 %.3f ms | p99 %.3f ms\n",
+                1e3 * latency.Quantile(0.5), 1e3 * latency.Quantile(0.95),
+                1e3 * latency.Quantile(0.99));
 
   int exit_code = 0;
   if (!chaos_mode && (Total(report->executed) != schedule.events.size() ||

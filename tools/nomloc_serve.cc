@@ -6,33 +6,36 @@
 //                [--delay S] [--packets N] [--dwells N] [--seed N]
 //                [--breaker-threshold N] [--breaker-backoff S]
 //                [--retry-budget N] [--no-lkg] [--incremental]
-//                [--chaos SEED] [--chaos-events N] [--wire binary|json]
+//                [--chaos SEED] [--chaos-events N] [--wire]
 //                [--check] [--check-perturb] [--metrics]
 //
 // Replays a measurement campaign (objects x epochs, from the scenario's
-// test sites) as a timestamped packet stream through StreamingLocalizer
-// and prints admission counts, per-response outcomes, localization error,
-// degradation-ladder counts, throughput, and latency percentiles.
+// test sites) as a timestamped packet stream through one
+// StreamingLocalizer, always on the chaos engine (cluster/chaos.h): the
+// schedule is empty, built from the fault flags, or drawn by --chaos.
+// Prints the schedule and what of it executed, admission counts,
+// per-response outcomes, localization error, degradation-ladder counts,
+// throughput, and the serving.latency timer's percentiles.
 //
-// --wire binary|json round-trips the whole packet stream through the
-// hot-ingest wire codec (serving/wire.h) before replay, so the served
-// stream is exactly what a decoder would hand the service.  Combined
-// with --check this proves end-to-end that a wire-framed stream is
-// bit-identical to the in-memory path — run it with both formats and the
-// binary and JSON paths are bit-identical to each other by transitivity.
+// Fault flags become whole-run anchor windows: --dropout R kills each
+// distinct AP for the whole run with probability R (drawn once from
+// --seed), --loss R drops a share R of every AP's reports, and
+// --delay-rate R --delay S delivers a share R of them S seconds late, so
+// one that lands past its --deadline is rejected.  The solver sees the
+// reduced constraint set, each response carries a confidence plus a
+// `degraded` flag, and --metrics shows the serving.* series.
 //
-// --check (faults must be off) additionally runs the same anchor sets
+// --wire round-trips the whole packet stream through the binary wire
+// codec (serving/wire.h) before replay, so the served stream is exactly
+// what a decoder would hand the service; with --check this proves that a
+// wire-framed stream is bit-identical to the in-memory path.
+//
+// --check (no faults, no --chaos) additionally runs the same anchor sets
 // through NomLocEngine::LocateBatch and exits non-zero unless every
 // streamed estimate is bit-identical to its batch twin — the serving
 // layer's end-to-end equivalence proof.  --check-perturb intentionally
 // nudges one streamed estimate before comparing, proving the detector
 // trips (the process must exit non-zero).
-//
-// Fault flags (--dropout / --loss / --delay-rate) exercise graceful
-// degradation: dead APs and lost packets shrink the constraint set, the
-// solver falls back to the reduced program, and each response carries a
-// confidence plus a `degraded` flag; --metrics shows the serving.* series
-// (queue depth, shard occupancy, rejections, degradation events).
 //
 // --incremental switches the per-object solver sessions to
 // SpSessionMode::kIncremental (warm constraint deltas instead of a cold
@@ -41,11 +44,9 @@
 //
 // Resilience knobs: --breaker-threshold / --breaker-backoff shape the
 // per-anchor circuit breakers, --retry-budget re-queues failed queries,
-// --no-lkg disables the last-known-good fallback.  --chaos SEED replays
-// a seeded data-plane schedule (anchor death/flap, trace corruption, clock
-// jumps, queue saturation) on the chaos engine (cluster::RunChaos) instead
-// of the plain stream and reports injections, degradation counts, and
-// recovery latency.
+// --no-lkg disables the last-known-good fallback.  --chaos SEED draws a
+// seeded schedule (anchor death/flap, trace corruption, clock jumps,
+// queue saturation) and reports when full fidelity returns.
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -55,13 +56,12 @@
 #include <vector>
 
 #include "cluster/chaos.h"
-#include "common/degradation.h"
 #include "common/metrics.h"
+#include "common/rng.h"
 #include "common/stats.h"
 #include "core/nomloc.h"
 #include "eval/runner.h"
 #include "eval/scenario.h"
-#include "serving/clock.h"
 #include "serving/replay.h"
 #include "serving/service.h"
 #include "serving/wire.h"
@@ -79,10 +79,39 @@ namespace {
       "          [--delay S] [--packets N] [--dwells N] [--seed N]\n"
       "          [--breaker-threshold N] [--breaker-backoff S]\n"
       "          [--retry-budget N] [--no-lkg] [--incremental]\n"
-      "          [--chaos SEED] [--chaos-events N] [--wire binary|json]\n"
+      "          [--chaos SEED] [--chaos-events N] [--wire]\n"
       "          [--check] [--check-perturb] [--metrics]\n",
       argv0);
   std::exit(2);
+}
+
+/// The fault flags as whole-run anchor windows on every AP of the plan.
+/// Dropout draws each AP's fate once, in first-sight order.
+cluster::ChaosSchedule FaultSchedule(const serving::ReplayPlan& plan,
+                                     double epoch_interval_s, double dropout,
+                                     double loss, double delay_rate,
+                                     double delay_s, std::uint64_t seed) {
+  std::vector<int> aps;
+  for (const serving::IngestPacket& packet : plan.packets)
+    if (packet.kind == serving::PacketKind::kObservation &&
+        std::find(aps.begin(), aps.end(), packet.ap_id) == aps.end())
+      aps.push_back(packet.ap_id);
+  using cluster::ChaosKind;
+  const double end_s = double(plan.epoch_count) * epoch_interval_s;
+  common::Rng rng(seed);
+  cluster::ChaosSchedule schedule;
+  for (int ap : aps) {
+    const std::size_t target = std::size_t(ap);
+    if (rng.Bernoulli(dropout))
+      schedule.events.push_back({ChaosKind::kAnchorDeath, 0.0, end_s, target});
+    if (loss != 0.0)
+      schedule.events.push_back(
+          {ChaosKind::kAnchorDeath, 0.0, end_s, target, 0.0, loss});
+    if (delay_rate != 0.0)
+      schedule.events.push_back({ChaosKind::kLateDelivery, 0.0, end_s, target,
+                                 delay_s, delay_rate});
+  }
+  return schedule;
 }
 
 }  // namespace
@@ -95,8 +124,9 @@ int main(int argc, char** argv) {
   serving::ServingConfig serve;
   cluster::ChaosConfig chaos;
   bool chaos_mode = false;
+  double dropout = 0.0, loss = 0.0, delay_rate = 0.0, delay_s = 0.0;
+  std::uint64_t fault_seed = 0x5e21;
   bool use_wire = false;
-  serving::WireFormat wire_format = serving::WireFormat::kBinary;
   bool check = false;
   bool check_perturb = false;
   bool metrics = false;
@@ -122,20 +152,20 @@ int main(int argc, char** argv) {
     } else if (arg == "--queue-capacity") {
       serve.queue_capacity = std::strtoul(next(), nullptr, 10);
     } else if (arg == "--dropout") {
-      serve.faults.ap_dropout_rate = std::strtod(next(), nullptr);
+      dropout = std::strtod(next(), nullptr);
     } else if (arg == "--loss") {
-      serve.faults.packet_loss_rate = std::strtod(next(), nullptr);
+      loss = std::strtod(next(), nullptr);
     } else if (arg == "--delay-rate") {
-      serve.faults.delay_rate = std::strtod(next(), nullptr);
+      delay_rate = std::strtod(next(), nullptr);
     } else if (arg == "--delay") {
-      serve.faults.delay_s = std::strtod(next(), nullptr);
+      delay_s = std::strtod(next(), nullptr);
     } else if (arg == "--packets") {
       replay.run.packets_per_batch = std::strtoul(next(), nullptr, 10);
     } else if (arg == "--dwells") {
       replay.run.dwell_count = std::strtoul(next(), nullptr, 10);
     } else if (arg == "--seed") {
       replay.run.seed = std::strtoull(next(), nullptr, 10);
-      serve.faults.seed = replay.run.seed + 0x5e21;
+      fault_seed = replay.run.seed + 0x5e21;
     } else if (arg == "--breaker-threshold") {
       serve.breaker.failure_threshold = std::strtoul(next(), nullptr, 10);
     } else if (arg == "--breaker-backoff") {
@@ -155,13 +185,6 @@ int main(int argc, char** argv) {
       chaos.events = std::strtoul(next(), nullptr, 10);
       chaos_mode = true;
     } else if (arg == "--wire") {
-      auto parsed = serving::ParseWireFormatName(next());
-      if (!parsed.ok()) {
-        std::fprintf(stderr, "error: %s\n",
-                     parsed.status().ToString().c_str());
-        return 2;
-      }
-      wire_format = *parsed;
       use_wire = true;
     } else if (arg == "--check") {
       check = true;
@@ -175,7 +198,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  if (check && serve.faults.Enabled()) {
+  if (check && (dropout != 0.0 || loss != 0.0 || delay_rate != 0.0)) {
     std::fprintf(stderr,
                  "error: --check requires fault injection to be off\n");
     return 2;
@@ -185,8 +208,8 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (use_wire && chaos_mode) {
-    // Chaos builds its own corrupted stream; the wire round-trip only
-    // makes sense on the plain replay.
+    // Chaos corrupts the stream after decoding; the round-trip proof
+    // belongs to the fault-free replay.
     std::fprintf(stderr, "error: --wire requires --chaos to be off\n");
     return 2;
   }
@@ -195,6 +218,10 @@ int main(int argc, char** argv) {
     // bit-identical; the equivalence suite covers that contract.
     std::fprintf(stderr, "error: --check requires the default solver mode\n");
     return 2;
+  }
+  if (!(dropout >= 0.0 && dropout <= 1.0)) {
+    std::fprintf(stderr, "error: --dropout must be in [0, 1]\n");
+    return 1;
   }
 
   auto scenario = eval::ScenarioByName(scenario_name);
@@ -218,160 +245,97 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  if (chaos_mode) {
-    auto report = cluster::RunChaos(*engine, *plan, replay.epoch_interval_s,
-                                    chaos, serve);
-    if (!report.ok()) {
-      std::fprintf(stderr, "error: %s\n", report.status().ToString().c_str());
-      return 1;
-    }
-    std::printf("chaos: seed=%llu events=%zu (last clears at %.2f s)\n",
-                static_cast<unsigned long long>(chaos.seed),
-                report->schedule.events.size(),
-                report->schedule.last_event_end_s);
-    for (const cluster::ChaosEvent& event : report->schedule.events) {
-      std::printf("  %-16s ap=%zu  [%.2f, %.2f] s  magnitude=%.3f\n",
-                  std::string(cluster::ChaosKindName(event.kind)).c_str(),
-                  event.target, event.start_s, event.end_s, event.magnitude);
-    }
-    using cluster::ChaosKind;
-    using serving::AdmitStatus;
-    std::printf("injected: %zu dropped, %zu corrupted, %zu clock jumps, "
-                "%zu saturation bursts\n",
-                report->Executed(ChaosKind::kAnchorDeath) +
-                    report->Executed(ChaosKind::kAnchorFlap),
-                report->Executed(ChaosKind::kTraceCorruption),
-                report->Executed(ChaosKind::kClockJump),
-                report->Executed(ChaosKind::kQueueSaturation));
-    std::printf("ingest: %zu accepted, %zu corrupt, %zu breaker-open, "
-                "%zu queue-full\n",
-                report->Admitted(AdmitStatus::kAccepted),
-                report->Admitted(AdmitStatus::kRejectedCorrupt),
-                report->Admitted(AdmitStatus::kRejectedBreakerOpen),
-                report->Admitted(AdmitStatus::kRejectedQueueFull));
-    std::printf("degradation: none %zu, relaxed %zu, centroid %zu, "
-                "last-known-good %zu\n",
-                report->degradation_counts[0], report->degradation_counts[1],
-                report->degradation_counts[2], report->degradation_counts[3]);
-    std::vector<double> errors_m;
-    for (const cluster::ChaosOutcome& outcome : report->outcomes)
-      if (outcome.status == serving::ServeStatus::kOk)
-        errors_m.push_back(outcome.error_m);
-    if (!errors_m.empty()) {
-      std::printf("error: mean %.2f m | p50 %.2f m | p90 %.2f m "
-                  "(%zu of %zu ok)\n",
-                  common::Mean(errors_m), common::Percentile(errors_m, 0.5),
-                  common::Percentile(errors_m, 0.9), errors_m.size(),
-                  report->outcomes.size());
-    }
-    if (report->recovery_latency_s >= 0.0)
-      std::printf("recovery: full fidelity %.3f s after last fault cleared\n",
-                  report->recovery_latency_s);
-    if (metrics) {
-      serving::TouchMetrics();
-      std::printf("\n%s", common::MetricRegistry::Global().DumpText().c_str());
-    }
-    return 0;
-  }
-
-  serve.store.anchor_ttl_s = plan->suggested_anchor_ttl_s;
-  serve.store.session_idle_ttl_s = 10.0 * replay.epoch_interval_s;
-  serve.expected_anchors = plan->expected_anchors;
-
-  serving::ManualClock clock;
-  auto service = serving::StreamingLocalizer::Create(*engine, serve, &clock);
-  if (!service.ok()) {
-    std::fprintf(stderr, "error: %s\n", service.status().ToString().c_str());
-    return 1;
-  }
-
+  std::printf("scenario=%s objects=%zu epochs=%zu workers=%zu\n",
+              scenario_name.c_str(), plan->objects, plan->epoch_count,
+              serve.workers);
   // --wire: serve the stream a decoder hands back, not the in-memory one.
-  std::vector<serving::IngestPacket> stream = plan->packets;
   if (use_wire) {
-    const std::string encoded = serving::EncodeWire(plan->packets,
-                                                    wire_format);
-    auto decoded = serving::DecodeWire(encoded, wire_format);
+    const std::string encoded = serving::EncodeWireBinary(plan->packets);
+    auto decoded = serving::DecodeWireBinary(encoded);
     if (!decoded.ok()) {
       std::fprintf(stderr, "error: %s\n",
                    decoded.status().ToString().c_str());
       return 1;
     }
-    stream = std::move(*decoded);
-    std::printf("wire: %s round-trip, %zu packets in %zu bytes "
+    plan->packets = std::move(*decoded);
+    std::printf("wire: binary round-trip, %zu packets in %zu bytes "
                 "(%.1f B/packet)\n",
-                std::string(serving::WireFormatName(wire_format)).c_str(),
-                stream.size(), encoded.size(),
-                stream.empty() ? 0.0
-                               : double(encoded.size()) / double(stream.size()));
+                plan->packets.size(), encoded.size(),
+                plan->packets.empty()
+                    ? 0.0
+                    : double(encoded.size()) / double(plan->packets.size()));
   }
 
-  // Replay on the logical timeline.  Flushing at each epoch boundary
-  // pins the logical time every query is served at (its own timestamp),
-  // which is what makes the no-fault stream reproducible: the session
-  // TTL sees exactly the ages the plan promises.
-  std::size_t accepted = 0, dropped = 0, rejected = 0;
   const auto t0 = std::chrono::steady_clock::now();
-  std::size_t next_packet = 0;
-  for (std::size_t e = 0; e < plan->epoch_count; ++e) {
-    const double epoch_end_s = double(e + 1) * replay.epoch_interval_s;
-    while (next_packet < stream.size() &&
-           stream[next_packet].timestamp_s < epoch_end_s) {
-      const serving::IngestPacket& packet = stream[next_packet++];
-      clock.Set(packet.timestamp_s);
-      switch ((*service)->Ingest(packet)) {
-        case serving::AdmitStatus::kAccepted: ++accepted; break;
-        case serving::AdmitStatus::kDroppedByFault: ++dropped; break;
-        default: ++rejected; break;
-      }
-    }
-    (*service)->Flush();
-  }
-  (*service)->Shutdown();
+  auto report =
+      chaos_mode
+          ? cluster::RunChaos(*engine, *plan, replay.epoch_interval_s, chaos,
+                              serve)
+          : cluster::RunChaosSchedule(
+                *engine, *plan, replay.epoch_interval_s,
+                FaultSchedule(*plan, replay.epoch_interval_s, dropout, loss,
+                              delay_rate, delay_s, fault_seed),
+                serve);
   const double wall_s =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
+  if (!report.ok()) {
+    std::fprintf(stderr, "error: %s\n", report.status().ToString().c_str());
+    return 1;
+  }
 
-  auto responses = (*service)->TakeResponses();
-  std::sort(responses.begin(), responses.end(),
-            [](const serving::ServeResponse& a,
-               const serving::ServeResponse& b) { return a.seq < b.seq; });
+  if (chaos_mode)
+    std::printf("chaos: seed=%llu ",
+                static_cast<unsigned long long>(chaos.seed));
+  std::printf("events=%zu (last clears at %.2f s)\n",
+              report->schedule.events.size(),
+              report->schedule.last_event_end_s);
+  for (const cluster::ChaosEvent& event : report->schedule.events) {
+    std::printf("  %-16s ap=%zu  [%.2f, %.2f] s  magnitude=%.3f  "
+                "share=%.2f\n",
+                std::string(cluster::ChaosKindName(event.kind)).c_str(),
+                event.target, event.start_s, event.end_s, event.magnitude,
+                event.share);
+  }
+  using cluster::ChaosKind;
+  using serving::AdmitStatus;
+  std::printf("injected: %zu dropped, %zu corrupted, %zu delayed, "
+              "%zu clock jumps, %zu saturation bursts\n",
+              report->Executed(ChaosKind::kAnchorDeath) +
+                  report->Executed(ChaosKind::kAnchorFlap),
+              report->Executed(ChaosKind::kTraceCorruption),
+              report->Executed(ChaosKind::kLateDelivery),
+              report->Executed(ChaosKind::kClockJump),
+              report->Executed(ChaosKind::kQueueSaturation));
+  const std::size_t accepted = report->Admitted(AdmitStatus::kAccepted);
+  std::printf("ingest: %zu accepted, %zu corrupt, %zu breaker-open, "
+              "%zu queue-full, %zu past deadline\n",
+              accepted, report->Admitted(AdmitStatus::kRejectedCorrupt),
+              report->Admitted(AdmitStatus::kRejectedBreakerOpen),
+              report->Admitted(AdmitStatus::kRejectedQueueFull),
+              report->Admitted(AdmitStatus::kRejectedDeadline));
 
-  std::size_t ok = 0, failed = 0, deadline_missed = 0, degraded = 0;
-  std::size_t ladder[4] = {0, 0, 0, 0};
-  std::vector<double> errors_m, latencies_ms, confidences;
-  for (const serving::ServeResponse& r : responses) {
-    latencies_ms.push_back(1e3 * r.latency_s);
-    if (r.degraded) ++degraded;
-    if (std::size_t(r.degradation) < 4) ++ladder[std::size_t(r.degradation)];
-    if (r.status == serving::ServeStatus::kOk) {
-      ++ok;
-      confidences.push_back(r.confidence);
-      const std::size_t epoch =
-          std::size_t(r.timestamp_s / replay.epoch_interval_s);
-      const auto& golden =
-          plan->epochs[epoch * plan->objects + std::size_t(r.object_id)];
-      errors_m.push_back(
-          (r.estimate.position - golden.true_position).Norm());
-    } else if (r.status == serving::ServeStatus::kRejectedDeadline) {
+  std::size_t failed = 0, deadline_missed = 0, degraded = 0;
+  std::vector<double> errors_m, confidences;
+  for (std::size_t i = 0; i < report->outcomes.size(); ++i) {
+    const cluster::ChaosOutcome& outcome = report->outcomes[i];
+    degraded += report->responses[i].degraded;
+    if (outcome.status == serving::ServeStatus::kOk) {
+      errors_m.push_back(outcome.error_m);
+      confidences.push_back(outcome.confidence);
+    } else if (outcome.status == serving::ServeStatus::kRejectedDeadline) {
       ++deadline_missed;
     } else {
       ++failed;
     }
   }
-  std::sort(latencies_ms.begin(), latencies_ms.end());
-
-  std::printf("scenario=%s objects=%zu epochs=%zu workers=%zu faults=%s\n",
-              scenario_name.c_str(), plan->objects, plan->epoch_count,
-              (*service)->WorkerCount(),
-              serve.faults.Enabled() ? "on" : "off");
-  std::printf("ingest: %zu accepted, %zu dropped by fault, %zu rejected\n",
-              accepted, dropped, rejected);
   std::printf("responses: %zu ok, %zu failed, %zu past deadline, "
               "%zu degraded\n",
-              ok, failed, deadline_missed, degraded);
+              errors_m.size(), failed, deadline_missed, degraded);
   std::printf("degradation: none %zu, relaxed %zu, centroid %zu, "
               "last-known-good %zu\n",
-              ladder[0], ladder[1], ladder[2], ladder[3]);
+              report->degradation_counts[0], report->degradation_counts[1],
+              report->degradation_counts[2], report->degradation_counts[3]);
   if (!errors_m.empty()) {
     std::printf("error: mean %.2f m | p50 %.2f m | p90 %.2f m | "
                 "mean confidence %.3f\n",
@@ -379,23 +343,29 @@ int main(int argc, char** argv) {
                 common::Percentile(errors_m, 0.9),
                 common::Mean(confidences));
   }
+  if (report->recovery_latency_s >= 0.0)
+    std::printf("recovery: full fidelity %.3f s after last fault cleared\n",
+                report->recovery_latency_s);
   std::printf("throughput: %.0f packets/s (%zu packets in %.3f s)\n",
               wall_s > 0.0 ? double(accepted) / wall_s : 0.0, accepted,
               wall_s);
-  if (!latencies_ms.empty()) {
+  const common::MetricHistogram& latency =
+      common::MetricRegistry::Global().Timer("serving.latency").Histogram();
+  if (latency.Count() > 0) {
     std::printf("latency: p50 %.3f ms | p95 %.3f ms | p99 %.3f ms\n",
-                common::Percentile(latencies_ms, 0.5),
-                common::Percentile(latencies_ms, 0.95),
-                common::Percentile(latencies_ms, 0.99));
+                1e3 * latency.Quantile(0.5), 1e3 * latency.Quantile(0.95),
+                1e3 * latency.Quantile(0.99));
   }
 
   int exit_code = 0;
+  std::vector<serving::WireResponse>& responses = report->responses;
   if (check_perturb) {
     // Self-test of the divergence detector: nudge one streamed estimate
     // by one ulp-scale step; the bit-compare below must now fail.
-    for (serving::ServeResponse& r : responses) {
-      if (r.status != serving::ServeStatus::kOk) continue;
-      r.estimate.position.x += 1e-9;
+    for (serving::WireResponse& r : responses) {
+      if (serving::ServeStatus(r.status) != serving::ServeStatus::kOk)
+        continue;
+      r.position.x += 1e-9;
       std::printf("check: perturbed object %llu by 1e-9 m\n",
                   static_cast<unsigned long long>(r.object_id));
       break;
@@ -411,28 +381,30 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "error: %s\n", batch.status().ToString().c_str());
       return 1;
     }
+    const auto same_bits = [](const auto& a, const auto& b) {
+      return std::memcmp(&a, &b, sizeof a) == 0;
+    };
     std::size_t compared = 0, mismatched = 0;
-    for (const serving::ServeResponse& r : responses) {
-      if (r.status != serving::ServeStatus::kOk) {
+    for (std::size_t i = 0; i < responses.size(); ++i) {
+      const serving::WireResponse& r = responses[i];
+      if (serving::ServeStatus(r.status) != serving::ServeStatus::kOk) {
         ++mismatched;  // the batch twin always succeeds
         continue;
       }
-      const std::size_t epoch =
-          std::size_t(r.timestamp_s / replay.epoch_interval_s);
+      const std::size_t epoch = report->outcomes[i].epoch;
       const std::size_t row = epoch * plan->objects + std::size_t(r.object_id);
       const core::LocationEstimate& want = (*batch)[row].estimate;
       ++compared;
-      if (std::memcmp(&r.estimate.position, &want.position,
-                      sizeof(want.position)) != 0 ||
-          r.estimate.relaxation_cost != want.relaxation_cost ||
-          r.estimate.feasible_area_m2 != want.feasible_area_m2) {
+      if (!same_bits(r.position, want.position) ||
+          !same_bits(r.relaxation_cost, want.relaxation_cost) ||
+          !same_bits(r.feasible_area_m2, want.feasible_area_m2)) {
         ++mismatched;
         std::fprintf(stderr,
                      "check: object %llu epoch %zu: streamed (%.17g, %.17g) "
                      "!= batch (%.17g, %.17g)\n",
                      static_cast<unsigned long long>(r.object_id), epoch,
-                     r.estimate.position.x, r.estimate.position.y,
-                     want.position.x, want.position.y);
+                     r.position.x, r.position.y, want.position.x,
+                     want.position.y);
       }
     }
     if (compared != plan->epochs.size() || mismatched != 0) {
