@@ -1,8 +1,11 @@
-// Micro-benchmark: three hot-path comparisons that perfbench/ only sees
+// Micro-benchmark: four hot-path comparisons that perfbench/ only sees
 // end to end.
 //
 //   BM_<kernel>/dispatched:0|1 — one SIMD kernel forced to the scalar
 //       table (0) and on the target runtime dispatch picks here (1).
+//   BM_LinkPdp/block:0|1 — one 50-packet batch on a lab link, synthesized
+//       and reduced to its PDP through frames (SampleBatch + PdpOfBatch,
+//       0) and through one reused block (SampleBlock + PdpOfBlock, 1).
 //   BM_ColdTrace/rooms:N/indexed:0|1 — TracePaths on a procedural office
 //       floor with the brute wall scan (0) and the spatial index (1).
 //   BM_Resolve/session:0|1 — one object's anchors with one PDP drifting
@@ -21,11 +24,14 @@
 #include <utility>
 #include <vector>
 
+#include "channel/csi_model.h"
 #include "channel/environment.h"
 #include "channel/propagation.h"
 #include "common/rng.h"
 #include "core/nomloc.h"
+#include "dsp/cir.h"
 #include "dsp/fft.h"
+#include "eval/scenario.h"
 #include "simd/dispatch.h"
 #include "simd/kernels.h"
 #include "world/worldgen.h"
@@ -165,6 +171,39 @@ void BM_BoxMuller(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_BoxMuller)->Apply(BothTargets);
+
+// The link from the lab's first test site to its first static AP, with
+// paper_lab's channel and batch size; the tone table is built before the
+// timed loop, as it is for every link a fix meets again.
+void BM_LinkPdp(benchmark::State& state) {
+  constexpr std::size_t kPackets = 50;
+  const eval::Scenario lab = eval::LabScenario();
+  const channel::ChannelConfig config;
+  const channel::LinkModel link = channel::CsiSimulator(lab.env, config)
+                                      .MakeLink(lab.test_sites.front(),
+                                                lab.static_aps.front());
+  const dsp::PdpOptions options;
+  common::Rng rng(0x11d);
+  (void)link.Sample(rng);
+  std::vector<dsp::Cplx> block;
+  for (auto _ : state) {
+    if (state.range(0) == 0) {
+      benchmark::DoNotOptimize(dsp::PdpOfBatch(
+          link.SampleBatch(kPackets, rng), config.bandwidth_hz, options));
+    } else {
+      link.SampleBlock(kPackets, rng, block);
+      benchmark::DoNotOptimize(dsp::PdpOfBlock(block, link.Subcarriers(),
+                                               config.fft_size,
+                                               config.bandwidth_hz, options));
+    }
+  }
+  state.SetItemsProcessed(std::int64_t(state.iterations() * kPackets));
+}
+BENCHMARK(BM_LinkPdp)
+    ->ArgName("block")
+    ->Arg(0)
+    ->Arg(1)
+    ->Unit(benchmark::kMicrosecond);
 
 // One generated office floor with every AP's image tree prebuilt: the
 // production PropagationCache keeps those trees across cold traces, and

@@ -1,5 +1,6 @@
 #include "channel/csi_model.h"
 
+#include <bit>
 #include <cmath>
 #include <numbers>
 
@@ -42,11 +43,32 @@ void FillGaussian(common::Rng& rng, std::span<double> out) {
   if (i < out.size()) out[i] = rng.Gaussian();  // Caches its partner.
 }
 
+// Digest of the ChannelConfig fields a ToneTable depends on.
+std::uint64_t ToneDigest(const ChannelConfig& c) noexcept {
+  std::uint64_t state = 0x746f6e65735f7631ull;  // Arbitrary fixed seed.
+  std::uint64_t digest = 0;
+  for (const std::uint64_t word :
+       {std::bit_cast<std::uint64_t>(c.bandwidth_hz),
+        std::uint64_t(c.fft_size), std::uint64_t(c.intel5300_grouping),
+        std::bit_cast<std::uint64_t>(c.carrier_hz),
+        std::uint64_t(c.rx_antennas),
+        std::bit_cast<std::uint64_t>(c.antenna_spacing_wavelengths)}) {
+    state ^= word;
+    digest = common::SplitMix64(state);
+  }
+  return digest;
+}
+
 }  // namespace
 
 LinkModel::LinkModel(std::vector<PropagationPath> paths,
                      const ChannelConfig& config)
-    : paths_(std::move(paths)), config_(config) {
+    : LinkModel(std::move(paths), config, std::make_shared<ToneTable>()) {}
+
+LinkModel::LinkModel(std::vector<PropagationPath> paths,
+                     const ChannelConfig& config,
+                     std::shared_ptr<ToneTable> tones)
+    : paths_(std::move(paths)), config_(config), tones_(std::move(tones)) {
   NOMLOC_REQUIRE(!paths_.empty());
   NOMLOC_REQUIRE(config_.rx_antennas >= 1);
   NOMLOC_REQUIRE(config_.antenna_spacing_wavelengths > 0.0);
@@ -78,17 +100,25 @@ LinkModel::LinkModel(std::vector<PropagationPath> paths,
   noise_variance_mw_ = common::DbmToMilliwatts(config_.noise_floor_dbm);
   NOMLOC_REQUIRE(noise_variance_mw_ >= 0.0);
   noise_sigma_ = std::sqrt(noise_variance_mw_ / 2.0);
-  tones_ = std::make_shared<ToneTable>();
 }
 
-const LinkModel::ToneTable& LinkModel::Tones() const {
+std::size_t LinkModel::ToneBytes() const noexcept {
+  const std::size_t paths = paths_.size();
+  return sizeof(ToneTable) +
+         2 * paths * subcarriers_.size() * sizeof(double) +
+         std::size_t(config_.rx_antennas) * paths * sizeof(Cplx);
+}
+
+const ToneTable& LinkModel::Tones() const {
   // Delay and carrier phasor tables: cos/sin of the exact angles Synthesize
   // used to recompute per packet, so the hot loop is a pure complex axpy.
   // Values are bit-identical to the historical per-call trigonometry.
-  // Built on first use rather than in the constructor: MakeLink stays cheap
-  // for callers that trace a link without ever sampling it (e.g. the
-  // trace.repeated_link bench), and copies of a model share one table.
+  // Every link sharing the table has the same paths and tone
+  // configuration, so whichever fills it writes the same values.
   std::call_once(tones_->once, [this] {
+    static auto& built =
+        common::MetricRegistry::Global().Counter("channel.tones.built");
+    built.Increment();
     const double df = config_.bandwidth_hz / double(config_.fft_size);
     const std::size_t stride = subcarriers_.size();
     tones_->re.resize(paths_.size() * stride);
@@ -131,51 +161,60 @@ std::vector<Cplx> LinkModel::DrawGains(common::Rng& rng) const {
   return gains;
 }
 
-CsiFrame LinkModel::Synthesize(std::span<const Cplx> gains,
-                               std::span<const double> noise,
-                               int antenna) const {
+void LinkModel::Synthesize(std::span<const Cplx> gains,
+                           std::span<const double> noise, int antenna,
+                           std::span<Cplx> out) const {
   NOMLOC_REQUIRE(gains.empty() || gains.size() == paths_.size());
   NOMLOC_REQUIRE(antenna >= 0 && antenna < config_.rx_antennas);
+  const std::size_t paths = paths_.size();
   const std::size_t stride = subcarriers_.size();
   NOMLOC_REQUIRE(noise.empty() || noise.size() == 2 * stride);
+  NOMLOC_REQUIRE(out.size() == stride);
   const ToneTable& tones = Tones();
-  const Cplx* carrier =
-      tones.carrier.data() + std::size_t(antenna) * paths_.size();
+  const Cplx* carrier = tones.carrier.data() + std::size_t(antenna) * paths;
 
-  // Split-complex accumulators, reused across packets on each thread.
-  thread_local std::vector<double> acc_re, acc_im;
-  acc_re.assign(stride, 0.0);
-  acc_im.assign(stride, 0.0);
-
-  for (std::size_t p = 0; p < paths_.size(); ++p) {
+  // Per-path bases and split-complex accumulators, reused across packets
+  // on each thread.
+  struct Scratch {
+    std::vector<double> base_re, base_im, acc_re, acc_im;
+  };
+  thread_local Scratch s;
+  s.base_re.resize(paths);
+  s.base_im.resize(paths);
+  for (std::size_t p = 0; p < paths; ++p) {
     const Cplx gain = gains.empty() ? Cplx(1.0, 0.0) : gains[p];
     // Kept as (gain * amp) * carrier: folding amp into the table would
     // round differently.
     const Cplx base = gain * amp_[p] * carrier[p];
-    // values[i] += base * tone(p, i), over the precomputed phasor table.
-    simd::CplxAxpy(stride, base.real(), base.imag(),
-                   tones.re.data() + p * stride, tones.im.data() + p * stride,
-                   acc_re.data(), acc_im.data());
+    s.base_re[p] = base.real();
+    s.base_im[p] = base.imag();
   }
-
-  std::vector<Cplx> values(stride, Cplx(0.0, 0.0));
-  simd::Interleave(stride, acc_re.data(), acc_im.data(), values.data());
+  s.acc_re.assign(stride, 0.0);
+  s.acc_im.assign(stride, 0.0);
+  // values[i] = sum_p base_p * tone(p, i), adding the paths in order.
+  simd::CplxAxpy(stride, paths, s.base_re.data(), s.base_im.data(),
+                 tones.re.data(), tones.im.data(), s.acc_re.data(),
+                 s.acc_im.data());
+  simd::Interleave(stride, s.acc_re.data(), s.acc_im.data(), out.data());
 
   if (!noise.empty()) {
     for (std::size_t i = 0; i < stride; ++i) {
-      values[i] += Cplx(noise_sigma_ * noise[2 * i],
-                        noise_sigma_ * noise[2 * i + 1]);
+      out[i] += Cplx(noise_sigma_ * noise[2 * i],
+                     noise_sigma_ * noise[2 * i + 1]);
     }
   }
+}
 
+CsiFrame LinkModel::MakeFrame(std::vector<Cplx> values) const {
   auto frame = CsiFrame::Create(subcarriers_, std::move(values),
                                 config_.fft_size);
   NOMLOC_ASSERT(frame.ok());
   return std::move(frame).value();
 }
 
-CsiFrame LinkModel::SamplePacket(common::Rng& rng, int antenna,
-                                 std::span<Cplx> diffuse, bool first) const {
+void LinkModel::SamplePacket(common::Rng& rng, int antenna,
+                             std::span<Cplx> diffuse, bool first,
+                             std::span<Cplx> out) const {
   const std::size_t paths = paths_.size();
   // One packet's draws and gains, reused across packets on each thread
   // (about 1 KB on a lab link).
@@ -197,31 +236,53 @@ CsiFrame LinkModel::SamplePacket(common::Rng& rng, int antenna,
       gains[p] = Cplx(los_amp_[p], 0.0) + diffuse[p];
     }
   }
-  return Synthesize(gains, std::span<const double>(draws).subspan(2 * paths),
-                    antenna);
+  Synthesize(gains, std::span<const double>(draws).subspan(2 * paths),
+             antenna, out);
+}
+
+CsiFrame LinkModel::SampleFrame(common::Rng& rng, int antenna,
+                                std::span<Cplx> diffuse, bool first) const {
+  std::vector<Cplx> values(subcarriers_.size());
+  SamplePacket(rng, antenna, diffuse, first, values);
+  return MakeFrame(std::move(values));
 }
 
 CsiFrame LinkModel::Sample(common::Rng& rng) const {
-  return SamplePacket(rng, 0, {}, false);
+  return SampleFrame(rng, 0, {}, false);
 }
 
 std::vector<CsiFrame> LinkModel::SampleBatch(std::size_t count,
                                              common::Rng& rng) const {
+  std::vector<Cplx> block;
+  SampleBlock(count, rng, block);
+  const std::size_t stride = subcarriers_.size();
+  std::vector<CsiFrame> out;
+  out.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    const auto row = block.begin() + std::ptrdiff_t(i * stride);
+    out.push_back(MakeFrame({row, row + std::ptrdiff_t(stride)}));
+  }
+  return out;
+}
+
+void LinkModel::SampleBlock(std::size_t count, common::Rng& rng,
+                            std::vector<Cplx>& block) const {
   NOMLOC_REQUIRE(count >= 1);
   const double rho = config_.fading_correlation;
   NOMLOC_REQUIRE(rho >= 0.0 && rho < 1.0);
   static auto& synthesize_timer =
       common::MetricRegistry::Global().Timer("channel.synthesize");
   common::StageTrace trace(synthesize_timer);
+  const std::size_t stride = subcarriers_.size();
+  block.resize(count * stride);
   // AR(1) Gauss-Markov evolution of the *diffuse* fading component: the
   // deterministic Rician mean stays fixed, the scattered part decorrelates
   // at rate rho per packet, preserving the marginal distribution.
   std::vector<Cplx> diffuse(rho == 0.0 ? 0 : paths_.size());
-  std::vector<CsiFrame> out;
-  out.reserve(count);
-  for (std::size_t i = 0; i < count; ++i)
-    out.push_back(SamplePacket(rng, 0, diffuse, i == 0));
-  return out;
+  for (std::size_t i = 0; i < count; ++i) {
+    SamplePacket(rng, 0, diffuse, i == 0,
+                 std::span<Cplx>(block).subspan(i * stride, stride));
+  }
 }
 
 MimoCsiFrame LinkModel::SampleMimo(common::Rng& rng) const {
@@ -233,7 +294,7 @@ MimoCsiFrame LinkModel::SampleMimo(common::Rng& rng) const {
   MimoCsiFrame frame;
   frame.reserve(std::size_t(config_.rx_antennas));
   for (int antenna = 0; antenna < config_.rx_antennas; ++antenna)
-    frame.push_back(SamplePacket(rng, antenna, {}, false));
+    frame.push_back(SampleFrame(rng, antenna, {}, false));
   return frame;
 }
 
@@ -254,7 +315,7 @@ std::vector<MimoCsiFrame> LinkModel::SampleMimoBatch(std::size_t count,
     MimoCsiFrame packet;
     packet.reserve(std::size_t(config_.rx_antennas));
     for (int antenna = 0; antenna < config_.rx_antennas; ++antenna) {
-      packet.push_back(SamplePacket(
+      packet.push_back(SampleFrame(
           rng, antenna,
           std::span<Cplx>(diffuse).subspan(std::size_t(antenna) * state,
                                            state),
@@ -265,7 +326,11 @@ std::vector<MimoCsiFrame> LinkModel::SampleMimoBatch(std::size_t count,
   return out;
 }
 
-CsiFrame LinkModel::MeanResponse() const { return Synthesize({}, {}); }
+CsiFrame LinkModel::MeanResponse() const {
+  std::vector<Cplx> values(subcarriers_.size());
+  Synthesize({}, {}, 0, values);
+  return MakeFrame(std::move(values));
+}
 
 std::vector<Cplx> LinkModel::SampleImpulseResponse(
     common::Rng* rng, std::size_t max_taps, double lead_in_samples) const {
@@ -341,10 +406,15 @@ common::Result<dsp::CsiFrame> LinkModel::MeasurePhyCsi(
 LinkModel CsiSimulator::MakeLink(geometry::Vec2 tx, geometry::Vec2 rx) const {
   // Memoized: repeated links (every frame of a measurement epoch) skip the
   // ray trace entirely.  Copying the cached path list into the LinkModel is
-  // a few dozen PODs — negligible next to the trace it replaces.
-  return LinkModel(*PropagationCache::Global().Trace(*env_, tx, rx,
-                                                     config_.propagation),
-                   config_);
+  // a few dozen PODs — negligible next to the trace it replaces.  The tone
+  // table is memoized beside the trace, so a link met again in a later fix
+  // skips its trigonometry too.
+  PropagationCache& cache = PropagationCache::Global();
+  LinkModel link(*cache.Trace(*env_, tx, rx, config_.propagation), config_,
+                 nullptr);
+  link.tones_ = cache.Tones(*env_, tx, rx, config_.propagation,
+                            ToneDigest(config_), link.ToneBytes());
+  return link;
 }
 
 dsp::CsiFrame CsiSimulator::SampleOne(geometry::Vec2 tx, geometry::Vec2 rx,

@@ -12,6 +12,7 @@
 
 #include <memory>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "channel/environment.h"
@@ -60,19 +61,52 @@ struct ChannelConfig {
 /// One packet's CSI across all receive antennas (size = rx_antennas).
 using MimoCsiFrame = std::vector<dsp::CsiFrame>;
 
+/// A link's phasor tables: they depend on its traced paths and on the
+/// tone-relevant ChannelConfig fields (bandwidth, FFT size, grouping,
+/// carrier, antennas, spacing) but not on the packet.  Filled on the
+/// first synthesized packet, so links that are traced but never sampled
+/// skip the trigonometry; afterwards packet synthesis is trigonometry-free.
+/// CsiSimulator::MakeLink shares one table among every link over the same
+/// traced paths and tone configuration (PropagationCache::Tones), so a
+/// link rebuilt fix after fix fills it once; copies of a LinkModel share
+/// its table too.  Each fill counts one channel.tones.built.
+struct ToneTable {
+  std::once_flag once;
+  /// Per-path per-subcarrier delay phasors e^{-j 2π f_k τ_p},
+  /// split-complex, one row of subcarriers per path.
+  std::vector<double> re;
+  std::vector<double> im;
+  /// Per-antenna per-path carrier phasors e^{j φ_{m,p}} with
+  /// φ_{m,p} = -2π f_c τ_p + 2π d m cos(aoa_p), indexed
+  /// [antenna * paths + path].
+  std::vector<dsp::Cplx> carrier;
+};
+
 /// A fixed TX–RX link: traced paths plus precomputed per-path baseband
 /// parameters.  Sampling a packet re-draws fading and noise only, so
 /// batches of thousands of packets (the paper's PING flood) are cheap.
 class LinkModel {
  public:
+  /// A link with its own tone table.
   LinkModel(std::vector<PropagationPath> paths, const ChannelConfig& config);
 
   /// CSI for one received packet (antenna 0 when rx_antennas > 1).
   dsp::CsiFrame Sample(common::Rng& rng) const;
 
-  /// CSI for `count` packets (count >= 1), antenna 0.
+  /// CSI for `count` packets (count >= 1), antenna 0: SampleBlock's
+  /// values, one frame per packet.
   std::vector<dsp::CsiFrame> SampleBatch(std::size_t count,
                                          common::Rng& rng) const;
+
+  /// The CSI values of `count` packets (count >= 1) on antenna 0,
+  /// packet-major in `block` (resized to count * Subcarriers().size()),
+  /// with no frame per packet: what dsp::PdpOfBlock reads.  One
+  /// channel.synthesize span; a reused block allocates nothing.
+  void SampleBlock(std::size_t count, common::Rng& rng,
+                   std::vector<dsp::Cplx>& block) const;
+
+  /// The subcarrier indices of every frame and block row of this link.
+  std::span<const int> Subcarriers() const noexcept { return subcarriers_; }
 
   /// One packet across every receive antenna (size = config.rx_antennas).
   /// The deterministic (Rician LOS) component is shared across the array;
@@ -112,22 +146,38 @@ class LinkModel {
   common::Result<dsp::CsiFrame> MeasurePhyCsi(common::Rng* rng) const;
 
  private:
-  /// Builds a frame from explicit per-path complex gains (empty = unit
-  /// gains) for the given antenna index, adding AWGN from `noise`: two
-  /// standard normals per subcarrier (re, im), or none for a noise-free
-  /// frame.
-  dsp::CsiFrame Synthesize(std::span<const dsp::Cplx> gains,
-                           std::span<const double> noise,
-                           int antenna = 0) const;
-  /// One packet on `antenna` from one block of Gaussian draws, in the
-  /// order the golden tests pin: two per path (the diffuse fading), then
-  /// two per subcarrier (the noise).  With `diffuse` empty the fading is
-  /// i.i.d.; otherwise `diffuse` is the antenna's AR(1) state per path,
+  friend class CsiSimulator;
+  /// A link on the tone table `tones` (null: the caller sets tones_).
+  LinkModel(std::vector<PropagationPath> paths, const ChannelConfig& config,
+            std::shared_ptr<ToneTable> tones);
+
+  /// Writes one packet's CSI values into `out` (one per subcarrier) from
+  /// explicit per-path complex gains (empty = unit gains) for the given
+  /// antenna, adding AWGN from `noise`: two standard normals per
+  /// subcarrier (re, im), or none for a noise-free packet.  The path sum
+  /// is one simd::CplxAxpy call over the tone table.
+  void Synthesize(std::span<const dsp::Cplx> gains,
+                  std::span<const double> noise, int antenna,
+                  std::span<dsp::Cplx> out) const;
+  /// One packet on `antenna` into `out`, from one block of Gaussian draws,
+  /// in the order the golden tests pin: two per path (the diffuse fading),
+  /// then two per subcarrier (the noise).  With `diffuse` empty the fading
+  /// is i.i.d.; otherwise `diffuse` is the antenna's AR(1) state per path,
   /// which the `first` packet's draws seed and later packets' draws drive.
-  dsp::CsiFrame SamplePacket(common::Rng& rng, int antenna,
-                             std::span<dsp::Cplx> diffuse, bool first) const;
+  void SamplePacket(common::Rng& rng, int antenna,
+                    std::span<dsp::Cplx> diffuse, bool first,
+                    std::span<dsp::Cplx> out) const;
+  /// SamplePacket as a frame.
+  dsp::CsiFrame SampleFrame(common::Rng& rng, int antenna,
+                            std::span<dsp::Cplx> diffuse, bool first) const;
+  /// A frame on this link's grid.
+  dsp::CsiFrame MakeFrame(std::vector<dsp::Cplx> values) const;
   /// Draws one i.i.d. Rician/Rayleigh gain per path.
   std::vector<dsp::Cplx> DrawGains(common::Rng& rng) const;
+  /// The table, filled on first use.
+  const ToneTable& Tones() const;
+  /// Bytes this link's tone table holds once filled.
+  std::size_t ToneBytes() const noexcept;
 
   std::vector<PropagationPath> paths_;
   ChannelConfig config_;
@@ -143,22 +193,6 @@ class LinkModel {
   /// AR(1) innovation weight sqrt(1 - rho^2) of fading_correlation rho;
   /// only batches read it, and they reject rho outside [0, 1).
   double innovation_ = 1.0;
-  /// Tables that depend on the link but not on the packet, built lazily on
-  /// the first synthesized packet (links that are traced but never sampled
-  /// skip the trigonometry) and shared across copies; afterwards packet
-  /// synthesis runs trigonometry-free through simd::CplxAxpy.
-  struct ToneTable {
-    std::once_flag once;
-    /// Per-path per-subcarrier delay phasors e^{-j 2π f_k τ_p},
-    /// split-complex with stride subcarriers_.size().
-    std::vector<double> re;
-    std::vector<double> im;
-    /// Per-antenna per-path carrier phasors e^{j φ_{m,p}} with
-    /// φ_{m,p} = -2π f_c τ_p + 2π d m cos(aoa_p), indexed
-    /// [antenna * paths + path].
-    std::vector<dsp::Cplx> carrier;
-  };
-  const ToneTable& Tones() const;
   std::shared_ptr<ToneTable> tones_;
   double noise_variance_mw_ = 0.0;
   /// Per-component standard deviation of the AWGN, sqrt(noise_variance/2).
@@ -175,7 +209,9 @@ class CsiSimulator {
   const ChannelConfig& Config() const noexcept { return config_; }
   const IndoorEnvironment& Environment() const noexcept { return *env_; }
 
-  /// Traces paths and builds the per-link sampler.
+  /// Traces paths (memoized) and builds the per-link sampler on the tone
+  /// table shared by every link over those paths and this tone
+  /// configuration (PropagationCache::Tones).
   LinkModel MakeLink(geometry::Vec2 tx, geometry::Vec2 rx) const;
 
   /// Convenience: one packet on a throwaway link.

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <utility>
 
+#include "channel/csi_model.h"
 #include "common/metrics.h"
 #include "common/rng.h"
 
@@ -49,6 +50,31 @@ void EvictIfFull(Map& map, std::uint64_t epoch, std::size_t max_entries) {
   if (map.size() >= max_entries) map.clear();
 }
 
+// Makes room in a byte-budgeted shard for a new entry of `bytes` stamped
+// `epoch`: while the shard is at its entry bound or would exceed its byte
+// budget, entries of other (dead) epochs go first, then the whole shard.
+// Entries are shared_ptrs, so outstanding references stay valid.
+template <typename Shard, typename BytesOf>
+void MakeRoom(Shard& shard, std::uint64_t epoch, std::size_t bytes,
+              std::size_t budget, std::size_t max_entries, BytesOf bytes_of) {
+  const auto over_budget = [&] {
+    return shard.map.size() >= max_entries || shard.bytes + bytes > budget;
+  };
+  if (!over_budget()) return;
+  for (auto it = shard.map.begin(); it != shard.map.end() && over_budget();) {
+    if (it->first.epoch != epoch) {
+      shard.bytes -= bytes_of(it->second);
+      it = shard.map.erase(it);
+    } else {
+      ++it;
+    }
+  }
+  if (over_budget()) {
+    shard.map.clear();
+    shard.bytes = 0;
+  }
+}
+
 }  // namespace
 
 std::size_t PropagationCache::KeyHash::operator()(const Key& k) const noexcept {
@@ -66,6 +92,13 @@ PropagationCache& PropagationCache::Global() {
   return cache;
 }
 
+PropagationCache::Key PropagationCache::TraceKey(
+    const IndoorEnvironment& env, geometry::Vec2 tx, geometry::Vec2 rx,
+    const PropagationConfig& config) {
+  return {env.Epoch(),    DigestConfig(config), Quantize(tx.x),
+          Quantize(tx.y), Quantize(rx.x),       Quantize(rx.y)};
+}
+
 std::shared_ptr<const std::vector<PropagationPath>> PropagationCache::Trace(
     const IndoorEnvironment& env, geometry::Vec2 tx, geometry::Vec2 rx,
     const PropagationConfig& config) {
@@ -74,8 +107,7 @@ std::shared_ptr<const std::vector<PropagationPath>> PropagationCache::Trace(
   static common::MetricCounter& misses =
       common::MetricRegistry::Global().Counter("channel.trace.cache.misses");
 
-  const Key key{env.Epoch(),     DigestConfig(config), Quantize(tx.x),
-                Quantize(tx.y),  Quantize(rx.x),       Quantize(rx.y)};
+  const Key key = TraceKey(env, tx, rx, config);
   PathShard& shard = path_shards_[KeyHash{}(key) % kShardCount];
   {
     std::lock_guard<std::mutex> lock(shard.mu);
@@ -131,29 +163,35 @@ std::shared_ptr<const TxImageTree> PropagationCache::Images(
   std::lock_guard<std::mutex> lock(shard.mu);
   // Entry bound plus byte budget: trees scale as O(walls^order), so in
   // large generated worlds a handful of trees can dwarf the entry bound.
-  // Stale-epoch entries go first; a same-epoch overflow drops the shard
-  // whole (outstanding shared_ptrs stay valid either way).
-  const auto over_budget = [&] {
-    return shard.map.size() >= kMaxEntriesPerShard ||
-           shard.bytes + tree_bytes > image_bytes_per_shard_;
-  };
-  if (over_budget()) {
-    for (auto it = shard.map.begin(); it != shard.map.end() && over_budget();) {
-      if (it->first.epoch != key.epoch) {
-        shard.bytes -= it->second->ApproxBytes();
-        it = shard.map.erase(it);
-      } else {
-        ++it;
-      }
-    }
-    if (over_budget()) {
-      shard.map.clear();
-      shard.bytes = 0;
-    }
-  }
+  MakeRoom(shard, key.epoch, tree_bytes, image_bytes_per_shard_,
+           kMaxEntriesPerShard,
+           [](const auto& tree) { return tree->ApproxBytes(); });
   auto [it, inserted] = shard.map.emplace(key, std::move(images));
   if (inserted) shard.bytes += tree_bytes;
   return it->second;
+}
+
+std::shared_ptr<ToneTable> PropagationCache::Tones(
+    const IndoorEnvironment& env, geometry::Vec2 tx, geometry::Vec2 rx,
+    const PropagationConfig& config, std::uint64_t tone_digest,
+    std::size_t bytes) {
+  // The trace's key, with the tone configuration folded into its digest:
+  // a new environment epoch or another path set never finds this table.
+  Key key = TraceKey(env, tx, rx, config);
+  std::uint64_t state = key.config_digest;
+  key.config_digest = MixIn(state, tone_digest);
+  ToneShard& shard = tone_shards_[KeyHash{}(key) % kShardCount];
+  std::lock_guard<std::mutex> lock(shard.mu);
+  if (auto it = shard.map.find(key); it != shard.map.end())
+    return it->second.table;
+  // The table starts empty, so creating it under the lock is cheap; the
+  // first LinkModel to sample fills it outside.
+  MakeRoom(shard, key.epoch, bytes, kToneBytesPerShard, kMaxEntriesPerShard,
+           [](const ToneEntry& entry) { return entry.bytes; });
+  auto table = std::make_shared<ToneTable>();
+  shard.map.emplace(key, ToneEntry{table, bytes});
+  shard.bytes += bytes;
+  return table;
 }
 
 void PropagationCache::Clear() {
@@ -170,11 +208,25 @@ void PropagationCache::ClearTraces() {
     std::lock_guard<std::mutex> lock(shard.mu);
     shard.map.clear();
   }
+  for (ToneShard& shard : tone_shards_) {
+    std::lock_guard<std::mutex> lock(shard.mu);
+    shard.map.clear();
+    shard.bytes = 0;
+  }
 }
 
 std::size_t PropagationCache::ImageBytes() const {
   std::size_t total = 0;
   for (const ImageShard& shard : image_shards_) {
+    std::lock_guard<std::mutex> lock(shard.mu);
+    total += shard.bytes;
+  }
+  return total;
+}
+
+std::size_t PropagationCache::ToneBytes() const {
+  std::size_t total = 0;
+  for (const ToneShard& shard : tone_shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
     total += shard.bytes;
   }

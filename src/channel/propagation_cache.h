@@ -4,7 +4,10 @@
 // content epoch (channel/environment.h) plus quantized endpoint positions
 // and a digest of the PropagationConfig.  A second, cheaper layer memoizes
 // the per-transmitter specular image tree (BuildTxImageTree), which is
-// shared by every receiver probed against that transmitter.
+// shared by every receiver probed against that transmitter.  A third keeps,
+// beside each trace, the ToneTable (channel/csi_model.h) of every tone
+// configuration sampled over it, so links rebuilt fix after fix share one
+// table.
 //
 // Correctness properties:
 //   * Cached results are bit-identical to uncached TracePaths: hits return
@@ -22,7 +25,8 @@
 // mutex per shard so concurrent measurement threads rarely contend.
 //
 // Metrics (common/metrics.h): channel.trace.cache.{hits,misses},
-// channel.trace.images.{hits,misses}.
+// channel.trace.images.{hits,misses}; channel.tones.built counts the
+// tables LinkModel fills.
 #pragma once
 
 #include <array>
@@ -37,6 +41,8 @@
 #include "geometry/vec2.h"
 
 namespace nomloc::channel {
+
+struct ToneTable;
 
 class PropagationCache {
  public:
@@ -64,14 +70,27 @@ class PropagationCache {
   std::shared_ptr<const TxImageTree> Images(const IndoorEnvironment& env,
                                             geometry::Vec2 tx, int max_order);
 
-  /// Drops every memoized trace and image tree.
+  /// The tone table shared by every link over Trace(env, tx, rx, config)'s
+  /// paths whose tone-relevant ChannelConfig fields digest to
+  /// `tone_digest`: created empty on first request, filled by the first
+  /// LinkModel that samples it.  `bytes` is what the filled table holds;
+  /// each shard keeps at most kToneBytesPerShard of them, evicting
+  /// stale-epoch tables first, then the whole shard (outstanding
+  /// shared_ptrs stay valid).
+  std::shared_ptr<ToneTable> Tones(const IndoorEnvironment& env,
+                                   geometry::Vec2 tx, geometry::Vec2 rx,
+                                   const PropagationConfig& config,
+                                   std::uint64_t tone_digest,
+                                   std::size_t bytes);
+
+  /// Drops every memoized trace, image tree and tone table.
   void Clear();
 
-  /// Drops memoized traces but keeps the per-tx image trees: every
-  /// receiver probed against a transmitter shares its tree, so callers
-  /// forcing cold re-traces (benchmarks, epoch-local invalidation) should
-  /// prefer this over Clear() — see the image-tree thrash note in
-  /// DESIGN.md.
+  /// Drops memoized traces and their tone tables but keeps the per-tx
+  /// image trees: every receiver probed against a transmitter shares its
+  /// tree, so callers forcing cold re-traces (benchmarks, epoch-local
+  /// invalidation) should prefer this over Clear() — see the image-tree
+  /// thrash note in DESIGN.md.
   void ClearTraces();
 
   /// Number of memoized traces (approximate under concurrent mutation).
@@ -80,8 +99,14 @@ class PropagationCache {
   /// Approximate bytes held by memoized image trees across all shards.
   std::size_t ImageBytes() const;
 
+  /// Bytes of the tone tables held across all shards (as passed to Tones).
+  std::size_t ToneBytes() const;
+
   /// Default per-shard image-tree byte budget (kShardCount shards total).
   static constexpr std::size_t kDefaultImageBytesPerShard = 4u << 20;
+  /// Per-shard tone-table byte budget (kShardCount shards total); a lab
+  /// link's table is about 13 KB.
+  static constexpr std::size_t kToneBytesPerShard = 1u << 20;
 
  private:
   struct Key {
@@ -112,9 +137,23 @@ class PropagationCache {
     std::unordered_map<Key, std::shared_ptr<const TxImageTree>, KeyHash> map;
     std::size_t bytes = 0;  ///< Sum of ApproxBytes() over map values.
   };
+  struct ToneEntry {
+    std::shared_ptr<ToneTable> table;
+    std::size_t bytes = 0;
+  };
+  struct ToneShard {
+    mutable std::mutex mu;
+    std::unordered_map<Key, ToneEntry, KeyHash> map;
+    std::size_t bytes = 0;  ///< Sum of ToneEntry::bytes over map values.
+  };
+
+  /// The key Trace() memoizes (env, tx, rx, config) under.
+  static Key TraceKey(const IndoorEnvironment& env, geometry::Vec2 tx,
+                      geometry::Vec2 rx, const PropagationConfig& config);
 
   std::array<PathShard, kShardCount> path_shards_;
   std::array<ImageShard, kShardCount> image_shards_;
+  std::array<ToneShard, kShardCount> tone_shards_;
   std::size_t image_bytes_per_shard_ = kDefaultImageBytesPerShard;
 };
 

@@ -6,13 +6,6 @@
 #include "common/assert.h"
 
 namespace nomloc::common {
-namespace {
-
-constexpr std::uint64_t RotL(std::uint64_t x, int k) noexcept {
-  return (x << k) | (x >> (64 - k));
-}
-
-}  // namespace
 
 std::uint64_t SplitMix64(std::uint64_t& state) noexcept {
   state += 0x9e3779b97f4a7c15ULL;
@@ -30,27 +23,11 @@ Rng::Rng(std::uint64_t seed) noexcept {
   if ((s_[0] | s_[1] | s_[2] | s_[3]) == 0) s_[0] = 1;
 }
 
-Rng::result_type Rng::operator()() noexcept {
-  const std::uint64_t result = RotL(s_[0] + s_[3], 23) + s_[0];
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = RotL(s_[3], 45);
-  return result;
-}
-
 Rng Rng::Fork(std::uint64_t stream_id) const noexcept {
-  std::uint64_t sm = s_[0] ^ RotL(stream_id, 32) ^ 0xd1b54a32d192ed03ULL;
+  std::uint64_t sm =
+      s_[0] ^ std::rotl(stream_id, 32) ^ 0xd1b54a32d192ed03ULL;
   (void)SplitMix64(sm);
   return Rng(SplitMix64(sm) ^ stream_id);
-}
-
-double Rng::Uniform() noexcept {
-  // 53 random mantissa bits -> uniform in [0,1).
-  return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
 }
 
 double Rng::Uniform(double lo, double hi) {

@@ -7,6 +7,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <complex>
 #include <cstdint>
 #include <span>
@@ -31,16 +32,29 @@ class Rng {
   static constexpr result_type min() noexcept { return 0; }
   static constexpr result_type max() noexcept { return ~result_type{0}; }
 
-  /// Next raw 64-bit value.
-  result_type operator()() noexcept;
+  /// Next raw 64-bit value.  Inline, like Uniform(): the channel draws
+  /// about a hundred uniforms per simulated packet.
+  result_type operator()() noexcept {
+    const std::uint64_t result = std::rotl(s_[0] + s_[3], 23) + s_[0];
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = std::rotl(s_[3], 45);
+    return result;
+  }
 
   /// Derives an independent child stream; `stream_id` selects the stream.
   /// Children with distinct ids are statistically independent of the
   /// parent and of each other (seeded via splitmix64 of state + id).
   Rng Fork(std::uint64_t stream_id) const noexcept;
 
-  /// Uniform double in [0, 1).
-  double Uniform() noexcept;
+  /// Uniform double in [0, 1): 53 random mantissa bits.
+  double Uniform() noexcept {
+    return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
+  }
   /// Uniform double in [lo, hi).  Requires lo <= hi.
   double Uniform(double lo, double hi);
   /// Uniform integer in [0, n).  Requires n > 0.  Unbiased (rejection).

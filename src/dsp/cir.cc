@@ -8,6 +8,7 @@
 #include "common/metrics.h"
 #include "common/units.h"
 #include "dsp/fft.h"
+#include "dsp/fft_plan.h"
 #include "simd/kernels.h"
 
 namespace nomloc::dsp {
@@ -34,6 +35,34 @@ double PdpOfTaps(std::span<const Cplx> taps, const PdpOptions& options,
   }
   NOMLOC_ASSERT(false);
   return 0.0;
+}
+
+// One SISO packet's PDP: its tones placed on the plan's grid as
+// CsiFrame::ToFftGrid places them, one inverse transform, then the pick.
+// CsiToCir + PdpOfTaps, bit for bit.
+double PacketPdp(const FftPlan& plan, std::span<const int> indices,
+                 const Cplx* values, const PdpOptions& options,
+                 std::vector<Cplx>& grid, std::vector<double>& profile) {
+  const int n = int(plan.Size());
+  grid.assign(plan.Size(), Cplx(0.0, 0.0));
+  for (std::size_t i = 0; i < indices.size(); ++i) {
+    const int k = indices[i];
+    grid[std::size_t(k >= 0 ? k : n + k)] = values[i];
+  }
+  plan.Inverse(grid);
+  return PdpOfTaps(grid, options, profile);
+}
+
+// Counts one SISO batch of `frames` packets and returns the timer of its
+// extraction span.
+common::MetricTimer& CountSisoBatch(std::size_t frames) {
+  auto& registry = common::MetricRegistry::Global();
+  static auto& batches = registry.Counter("dsp.pdp.batches", "mode=siso");
+  static auto& frame_count = registry.Counter("dsp.pdp.frames");
+  static auto& extract_timer = registry.Timer("dsp.pdp.extract");
+  batches.Increment();
+  frame_count.Increment(frames);
+  return extract_timer;
 }
 
 }  // namespace
@@ -89,22 +118,44 @@ double PdpOfProfile(std::span<const double> profile,
 double PdpOfBatch(std::span<const CsiFrame> frames, double bandwidth_hz,
                   const PdpOptions& options) {
   NOMLOC_REQUIRE(!frames.empty());
-  auto& registry = common::MetricRegistry::Global();
-  static auto& batches = registry.Counter("dsp.pdp.batches", "mode=siso");
-  static auto& frame_count = registry.Counter("dsp.pdp.frames");
-  static auto& extract_timer = registry.Timer("dsp.pdp.extract");
-  common::StageTrace trace(extract_timer);
-  batches.Increment();
-  frame_count.Increment(frames.size());
-  // Grid, tap, and profile buffers are shared across the whole batch.
-  ChannelImpulseResponse cir;
+  NOMLOC_REQUIRE(bandwidth_hz > 0.0);
+  common::StageTrace trace(CountSisoBatch(frames.size()));
+  // Grid and profile buffers are shared across the whole batch, and the
+  // plan is looked up again only when a frame's grid size changes.
+  std::shared_ptr<const FftPlan> plan;
+  std::vector<Cplx> grid;
   std::vector<double> profile;
   double acc = 0.0;
   for (const CsiFrame& frame : frames) {
-    CsiToCir(frame, bandwidth_hz, cir);
-    acc += PdpOfTaps(cir.taps, options, profile);
+    const std::size_t n = std::size_t(frame.FftSize());
+    if (!plan || plan->Size() != n) plan = FftPlanCache::Global().Plan(n);
+    acc += PacketPdp(*plan, frame.Indices(), frame.Values().data(), options,
+                     grid, profile);
   }
   return acc / double(frames.size());
+}
+
+double PdpOfBlock(std::span<const Cplx> block, std::span<const int> indices,
+                  int fft_size, double bandwidth_hz,
+                  const PdpOptions& options) {
+  const std::size_t tones = indices.size();
+  NOMLOC_REQUIRE(tones > 0 && !block.empty() && block.size() % tones == 0);
+  NOMLOC_REQUIRE(bandwidth_hz > 0.0);
+  // CsiFrame::Create's range rule, checked once for the whole block.
+  for (const int k : indices)
+    NOMLOC_REQUIRE(k != 0 && k >= -fft_size / 2 && k < fft_size / 2);
+  const std::size_t packets = block.size() / tones;
+  common::StageTrace trace(CountSisoBatch(packets));
+  const std::shared_ptr<const FftPlan> plan =
+      FftPlanCache::Global().Plan(std::size_t(fft_size));
+  std::vector<Cplx> grid;
+  std::vector<double> profile;
+  double acc = 0.0;
+  for (std::size_t p = 0; p < packets; ++p) {
+    acc += PacketPdp(*plan, indices, block.data() + p * tones, options, grid,
+                     profile);
+  }
+  return acc / double(packets);
 }
 
 common::Result<double> PdpOfBatchChecked(std::span<const CsiFrame> frames,

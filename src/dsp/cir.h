@@ -70,6 +70,18 @@ double PdpOfProfile(std::span<const double> profile,
 double PdpOfBatch(std::span<const CsiFrame> frames, double bandwidth_hz,
                   const PdpOptions& options = {});
 
+/// PdpOfBatch without frames: the mean PDP of a block of SISO packets
+/// stored packet-major, packet p's CSI values at
+/// block[p * indices.size() ...], all on the subcarriers `indices` of one
+/// fft_size grid (CsiFrame's index rules).  Bit-identical to PdpOfBatch
+/// over the frames those values would make, and counted the same way (one
+/// dsp.pdp.batches{mode=siso}, one dsp.pdp.frames per packet, one
+/// dsp.pdp.extract span), with one FFT-plan lookup per block.  Requires a
+/// non-empty block of whole packets.
+double PdpOfBlock(std::span<const Cplx> block, std::span<const int> indices,
+                  int fft_size, double bandwidth_hz,
+                  const PdpOptions& options = {});
+
 /// PdpOfBatch with input hardening for untrusted capture data: a batch
 /// whose CSI values contain NaN/Inf, or whose frames are entirely zero
 /// (no channel energy — the PDP would be 0 and the pairwise ratio

@@ -147,8 +147,12 @@ void FftPlan::Radix2Simd(std::span<Cplx> data, bool inverse) const {
     twi += half;
   }
   if (inverse) {
-    simd::InvScale(n, double(n), re);
-    simd::InvScale(n, double(n), im);
+    // n is a power of two, so 1/n is exact and x * (1/n) rounds the same
+    // real number as x / n, subnormal results included: the division's
+    // bits at a multiply's cost.
+    const double inv_n = 1.0 / double(n);
+    simd::Scale(n, inv_n, re);
+    simd::Scale(n, inv_n, im);
   }
   simd::Interleave(n, re, im, data.data());
 }

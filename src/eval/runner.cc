@@ -7,6 +7,7 @@
 #include "common/assert.h"
 #include "common/metrics.h"
 #include "common/thread_pool.h"
+#include "dsp/cir.h"
 #include "localization/proximity.h"
 
 namespace nomloc::eval {
@@ -43,17 +44,19 @@ std::vector<Vec2> NomadicSitesFor(const Scenario& scenario, std::size_t k) {
   return sites;
 }
 
-// Samples `packets` CSI frames on `link` and extracts their PDP.  SISO
-// batches go through the standard per-frame PDP average; with
-// rx_antennas > 1 the antennas are combined non-coherently per packet
-// first (dsp::PdpOfMimoBatch).
+// Samples `packets` CSI packets on `link` and extracts their PDP.  SISO
+// batches are one block per thread, reused link after link, through the
+// standard per-packet PDP average; with rx_antennas > 1 the antennas are
+// combined non-coherently per packet first (dsp::PdpOfMimoBatch).
 double MeasurePdp(const channel::LinkModel& link, const RunConfig& config,
                   std::size_t packets, common::Rng& rng) {
   if (config.channel.rx_antennas > 1) {
     return dsp::PdpOfMimoBatch(link.SampleMimoBatch(packets, rng),
                                config.channel.bandwidth_hz, config.engine.pdp);
   }
-  return dsp::PdpOfBatch(link.SampleBatch(packets, rng),
+  thread_local std::vector<dsp::Cplx> block;
+  link.SampleBlock(packets, rng, block);
+  return dsp::PdpOfBlock(block, link.Subcarriers(), config.channel.fft_size,
                          config.channel.bandwidth_hz, config.engine.pdp);
 }
 

@@ -1,6 +1,7 @@
 #include "serving/service.h"
 
 #include <algorithm>
+#include <array>
 #include <chrono>
 #include <cmath>
 #include <condition_variable>
@@ -39,26 +40,18 @@ constexpr std::string_view kTimerNames[] = {
     "serving.solve",
     "serving.latency",
 };
-constexpr std::string_view kAllNames[] = {
-    "serving.ingest.accepted",      "serving.ingest.observations",
-    "serving.ingest.queries",       "serving.rejected.queue_full",
-    "serving.rejected.deadline",    "serving.sessions.created",
-    "serving.sessions.evicted",     "serving.observations.evicted",
-    "serving.degraded",             "serving.solve.failed",
-    "serving.rejected.corrupt",     "serving.rejected.breaker",
-    "serving.breaker.opened",       "serving.breaker.reclosed",
-    "serving.retries",              "serving.fallback.last_known_good",
-    "serving.checkpoint.restored",  "serving.solver.sessions",
-    "serving.evictions.pressure",   "serving.wire.parse_failures",
-    "serving.wire.bytes_in",        "serving.wire.bytes_out",
-    "serving.wal.appends",          "serving.wal.bytes",
-    "serving.wal.syncs",            "serving.wal.rotations",
-    "serving.wal.replayed_frames",  "serving.wal.torn_tails",
-    "serving.queue.depth",
-    "serving.shard.occupancy",      "serving.shard.bytes",
-    "serving.queue.wait",
-    "serving.solve",                "serving.latency",
-};
+// Every name above, once: retiring a metric is one edit to its list.
+constexpr auto kAllNames = [] {
+  std::array<std::string_view, std::size(kCounterNames) +
+                                   std::size(kHistogramNames) +
+                                   std::size(kTimerNames)>
+      all{};
+  auto out = std::copy(std::begin(kCounterNames), std::end(kCounterNames),
+                       all.begin());
+  out = std::copy(std::begin(kHistogramNames), std::end(kHistogramNames), out);
+  std::copy(std::begin(kTimerNames), std::end(kTimerNames), out);
+  return all;
+}();
 
 double WallSecondsSince(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration<double>(std::chrono::steady_clock::now() -

@@ -16,6 +16,8 @@
 //   * Element-wise kernels (axpy, scale, power_spectrum, cplx_axpy,
 //     fft_pass, …) are bit-identical across targets: each output lane is
 //     the same mul/add sequence, just computed W lanes at a time.
+//     cplx_axpy's term count keeps that: each lane adds its terms in
+//     order, so one call over many terms rounds like one call per term.
 //   * Reduction kernels (dot, sum_norm, max_norm, mat_vec rows) reassociate
 //     the sum across lanes; results match scalar to a tested bound
 //     (tests/simd_kernels_test.cc).
@@ -71,9 +73,13 @@ struct KernelTable {
   ///   x[i+k+half] = u - v.
   void (*fft_pass)(double* re, double* im, std::size_t n, std::size_t half,
                    const double* wr, const double* wi, double wsign);
-  /// Split-complex axpy: out += (br, bi) * (tr[i], ti[i]).
-  void (*cplx_axpy)(std::size_t n, double br, double bi, const double* tr,
-                    const double* ti, double* outr, double* outi);
+  /// Split-complex axpy over the `terms` rows of a row-major terms x n
+  /// table: out[i] += sum_t (br[t], bi[t]) * (tr[t*n + i], ti[t*n + i]).
+  /// Each element adds its terms in order t = 0, 1, …, so one call equals
+  /// `terms` one-term calls in sequence, bit for bit.
+  void (*cplx_axpy)(std::size_t n, std::size_t terms, const double* br,
+                    const double* bi, const double* tr, const double* ti,
+                    double* outr, double* outi);
   /// Interleaved -> split-complex copy, with an optional source
   /// permutation (perm == nullptr means identity): re[i] = xs[2*p(i)].
   void (*deinterleave)(std::size_t n, const double* xs,
@@ -221,10 +227,11 @@ inline void FftPass(double* re, double* im, std::size_t n, std::size_t half,
   ActiveKernels().fft_pass(re, im, n, half, wr, wi, wsign);
 }
 
-inline void CplxAxpy(std::size_t n, double br, double bi, const double* tr,
-                     const double* ti, double* outr, double* outi) {
+inline void CplxAxpy(std::size_t n, std::size_t terms, const double* br,
+                     const double* bi, const double* tr, const double* ti,
+                     double* outr, double* outi) {
   detail::Count(KernelId::kCplxAxpy);
-  ActiveKernels().cplx_axpy(n, br, bi, tr, ti, outr, outi);
+  ActiveKernels().cplx_axpy(n, terms, br, bi, tr, ti, outr, outi);
 }
 
 inline void Deinterleave(std::size_t n, const std::complex<double>* xs,

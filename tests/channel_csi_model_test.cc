@@ -9,6 +9,7 @@
 #include <limits>
 #include <vector>
 
+#include "common/metrics.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "dsp/cir.h"
@@ -377,6 +378,128 @@ TEST(FadingCoherence, InvalidCorrelationThrows) {
 // Golden bits of the sampling entry points.  channel_measure_golden_test
 // pins eval::MeasureEpoch, which never calls Sample or SampleMimo and never
 // enters a batch holding a cached Gaussian.  Every case here starts from an
+std::uint64_t Bits(double x) { return std::bit_cast<std::uint64_t>(x); }
+
+// SampleBlock + PdpOfBlock against SampleBatch + PdpOfBatch from one Rng
+// state: the same CSI bits, the same PDP bits, and the Rng left at the
+// same position.  The Rng starts with a cached Gaussian, so every packet
+// takes FillGaussian's cached-first and odd-last branches.
+TEST(BlockPath, MatchesFramePathBitForBit) {
+  const IndoorEnvironment env = RoomWithMetalWall();
+  for (const bool grouping : {true, false}) {  // 30 and 56 tones.
+    for (const double rho : {0.0, 0.9}) {
+      ChannelConfig cfg;
+      cfg.intel5300_grouping = grouping;
+      cfg.fading_correlation = rho;
+      const LinkModel link = CsiSimulator(env, cfg).MakeLink({1, 1}, {10, 6});
+      const std::size_t tones = link.Subcarriers().size();
+      ASSERT_EQ(tones, grouping ? 30u : 56u);
+      for (const dsp::PdpMethod method :
+           {dsp::PdpMethod::kMaxTap, dsp::PdpMethod::kTotalPower,
+            dsp::PdpMethod::kFirstPath}) {
+        dsp::PdpOptions options;
+        options.method = method;
+        common::Rng frame_rng(0xb10c);
+        (void)frame_rng.Gaussian();
+        common::Rng block_rng = frame_rng;
+        const std::vector<dsp::CsiFrame> frames =
+            link.SampleBatch(7, frame_rng);
+        // A reused block: a longer earlier fill is cut back to 7 packets.
+        std::vector<dsp::Cplx> block;
+        common::Rng other(3);
+        link.SampleBlock(9, other, block);
+        link.SampleBlock(7, block_rng, block);
+        ASSERT_EQ(block.size(), 7 * tones);
+        for (std::size_t f = 0; f < frames.size(); ++f) {
+          ASSERT_EQ(frames[f].SubcarrierCount(), tones);
+          for (std::size_t i = 0; i < tones; ++i) {
+            const dsp::Cplx want = frames[f].Values()[i];
+            const dsp::Cplx got = block[f * tones + i];
+            ASSERT_EQ(Bits(got.real()), Bits(want.real())) << f << " " << i;
+            ASSERT_EQ(Bits(got.imag()), Bits(want.imag())) << f << " " << i;
+          }
+        }
+        EXPECT_EQ(Bits(dsp::PdpOfBlock(block, link.Subcarriers(),
+                                       cfg.fft_size, cfg.bandwidth_hz,
+                                       options)),
+                  Bits(dsp::PdpOfBatch(frames, cfg.bandwidth_hz, options)));
+        common::Rng frame_raw = frame_rng;
+        common::Rng block_raw = block_rng;
+        EXPECT_EQ(frame_raw(), block_raw());
+        EXPECT_EQ(Bits(frame_rng.Gaussian()), Bits(block_rng.Gaussian()));
+      }
+    }
+  }
+}
+
+TEST(BlockPath, RejectsInvalidCountAndCorrelation) {
+  const IndoorEnvironment env = EmptyRoom();
+  ChannelConfig cfg;
+  std::vector<dsp::Cplx> block;
+  common::Rng rng(1);
+  const LinkModel link = CsiSimulator(env, cfg).MakeLink({1, 1}, {10, 6});
+  EXPECT_THROW(link.SampleBlock(0, rng, block), std::logic_error);
+  cfg.fading_correlation = 1.0;
+  const LinkModel bad = CsiSimulator(env, cfg).MakeLink({1, 1}, {10, 6});
+  EXPECT_THROW(bad.SampleBlock(3, rng, block), std::logic_error);
+}
+
+// MakeLink shares one tone table per traced path set and tone
+// configuration: sampling two links over the same endpoints builds it
+// once, a field the table does not read shares it, and a tone-relevant
+// field or a mutated environment builds another.  Shared or private, the
+// table gives the same bits.
+TEST(ToneSharing, OneTablePerTracedPathsAndToneConfig) {
+  const common::MetricCounter& built =
+      common::MetricRegistry::Global().Counter("channel.tones.built");
+  IndoorEnvironment env = RoomWithMetalWall();
+  ChannelConfig cfg;
+  common::Rng rng(5);
+  const auto sample_link = [&](const ChannelConfig& c) {
+    const LinkModel link = CsiSimulator(env, c).MakeLink({1, 1}, {10, 6});
+    (void)link.Sample(rng);
+    return link;
+  };
+  const std::uint64_t before = built.Value();
+  const LinkModel first = sample_link(cfg);
+  EXPECT_EQ(built.Value(), before + 1);
+  (void)sample_link(cfg);
+  EXPECT_EQ(built.Value(), before + 1);
+
+  ChannelConfig louder = cfg;
+  louder.tx_power_dbm += 6.0;
+  louder.noise_floor_dbm += 3.0;
+  (void)sample_link(louder);
+  EXPECT_EQ(built.Value(), before + 1);
+
+  ChannelConfig full_grid = cfg;
+  full_grid.intel5300_grouping = false;
+  (void)sample_link(full_grid);
+  EXPECT_EQ(built.Value(), before + 2);
+  ChannelConfig other_carrier = cfg;
+  other_carrier.carrier_hz = 5.18e9;
+  (void)sample_link(other_carrier);
+  EXPECT_EQ(built.Value(), before + 3);
+
+  env.PlaceScatterers(4, rng);  // A new epoch.
+  (void)sample_link(cfg);
+  EXPECT_EQ(built.Value(), before + 4);
+
+  // A private table (the public constructor) over the same paths.
+  const LinkModel own(std::vector<PropagationPath>(first.Paths().begin(),
+                                                   first.Paths().end()),
+                      cfg);
+  const dsp::CsiFrame shared_mean = first.MeanResponse();
+  const dsp::CsiFrame own_mean = own.MeanResponse();
+  EXPECT_EQ(built.Value(), before + 5);
+  for (std::size_t i = 0; i < own_mean.SubcarrierCount(); ++i) {
+    EXPECT_EQ(Bits(own_mean.Values()[i].real()),
+              Bits(shared_mean.Values()[i].real()));
+    EXPECT_EQ(Bits(own_mean.Values()[i].imag()),
+              Bits(shared_mean.Values()[i].imag()));
+  }
+}
+
 // Rng that has made one Gaussian() call, so each packet's draws begin with
 // the cached variate and end on an odd draw.  Per case: an FNV-1a digest of
 // the frames' IEEE bits, captured with the scalar SIMD table forced, then

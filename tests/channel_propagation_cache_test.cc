@@ -6,6 +6,7 @@
 #include <cmath>
 #include <vector>
 
+#include "channel/csi_model.h"
 #include "channel/environment.h"
 #include "channel/propagation.h"
 #include "common/rng.h"
@@ -193,6 +194,44 @@ TEST(PropagationCache, ImageByteBudgetBoundsMemory) {
   // Every handed-out tree is still alive and matches a fresh build.
   const TxImageTree direct = BuildTxImageTree(env, {0.5, 1.0}, 2);
   ASSERT_EQ(held.front()->candidates.size(), direct.candidates.size());
+}
+
+// One tone table per traced link and tone digest: a repeat request gets
+// the same table, another digest, endpoint or epoch a new one.
+TEST(PropagationCache, ToneTablesKeyedByTraceAndToneDigest) {
+  IndoorEnvironment env = OfficeRoom();
+  PropagationConfig cfg;
+  PropagationCache cache;
+  const auto a = cache.Tones(env, {1, 1}, {9, 7}, cfg, 11, 1000);
+  EXPECT_EQ(cache.Tones(env, {1, 1}, {9, 7}, cfg, 11, 1000).get(), a.get());
+  EXPECT_EQ(cache.ToneBytes(), 1000u);
+  EXPECT_NE(cache.Tones(env, {1, 1}, {9, 7}, cfg, 12, 1000).get(), a.get());
+  EXPECT_NE(cache.Tones(env, {1, 1}, {9, 6}, cfg, 11, 1000).get(), a.get());
+  cfg.max_reflection_order = 2;
+  EXPECT_NE(cache.Tones(env, {1, 1}, {9, 7}, cfg, 11, 1000).get(), a.get());
+  cfg = PropagationConfig{};
+  EXPECT_EQ(cache.ToneBytes(), 4000u);
+  common::Rng rng(7);
+  env.PlaceScatterers(3, rng);
+  EXPECT_NE(cache.Tones(env, {1, 1}, {9, 7}, cfg, 11, 1000).get(), a.get());
+  cache.ClearTraces();
+  EXPECT_EQ(cache.ToneBytes(), 0u);
+}
+
+TEST(PropagationCache, ToneByteBudgetBoundsMemory) {
+  // Tables of a whole shard's budget each: a shard keeps one at a time.
+  const IndoorEnvironment env = OfficeRoom();
+  const PropagationConfig cfg;
+  constexpr std::size_t kBudget = PropagationCache::kToneBytesPerShard;
+  PropagationCache cache;
+  std::vector<std::shared_ptr<ToneTable>> held;
+  for (int i = 0; i < 64; ++i) {
+    held.push_back(
+        cache.Tones(env, {1, 1}, {1.0 + 0.1 * double(i), 7}, cfg, 1, kBudget));
+    ASSERT_LE(cache.ToneBytes(), 16u * kBudget);  // kShardCount shards.
+  }
+  EXPECT_LT(cache.ToneBytes(), 64u * kBudget);
+  for (const auto& table : held) EXPECT_NE(table, nullptr);
 }
 
 TEST(PropagationCache, ConcurrentHammerStaysConsistent) {

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <numbers>
 #include <string>
@@ -164,6 +166,63 @@ TEST(PdpOfBatch, AveragesFrames) {
 
 TEST(PdpOfBatch, EmptyBatchThrows) {
   EXPECT_THROW(PdpOfBatch({}, common::kBandwidth20MHz), std::logic_error);
+}
+
+// The frames' values laid end to end: PdpOfBatch's bits for every pick,
+// and the same batch, frame and span counts.
+TEST(PdpOfBlock, MatchesPdpOfBatchAndCountsTheSame) {
+  const double delays[] = {0.0, 150e-9, 400e-9};
+  const double a1[] = {1.0, 0.5, 0.2};
+  const double a2[] = {0.3, 0.9, 0.1};
+  const double a3[] = {2.0, 0.05, 0.6};
+  const std::vector<CsiFrame> frames{SyntheticChannel(a1, delays),
+                                     SyntheticChannel(a2, delays),
+                                     SyntheticChannel(a3, delays)};
+  std::vector<Cplx> block;
+  for (const CsiFrame& frame : frames)
+    block.insert(block.end(), frame.Values().begin(), frame.Values().end());
+  auto& registry = common::MetricRegistry::Global();
+  const auto& batches = registry.Counter("dsp.pdp.batches", "mode=siso");
+  const auto& frame_count = registry.Counter("dsp.pdp.frames");
+  const auto& spans = registry.Timer("dsp.pdp.extract");
+  for (const PdpMethod method :
+       {PdpMethod::kMaxTap, PdpMethod::kTotalPower, PdpMethod::kFirstPath}) {
+    PdpOptions options;
+    options.method = method;
+    const std::uint64_t b0 = batches.Value(), f0 = frame_count.Value();
+    const std::uint64_t s0 = spans.Count();
+    const double want = PdpOfBatch(frames, common::kBandwidth20MHz, options);
+    const std::uint64_t b1 = batches.Value(), f1 = frame_count.Value();
+    const std::uint64_t s1 = spans.Count();
+    const double got = PdpOfBlock(block, frames[0].Indices(),
+                                  common::kOfdmFftSize,
+                                  common::kBandwidth20MHz, options);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+              std::bit_cast<std::uint64_t>(want));
+    EXPECT_EQ(b1 - b0, 1u);
+    EXPECT_EQ(f1 - f0, frames.size());
+    EXPECT_EQ(s1 - s0, 1u);
+    EXPECT_EQ(batches.Value() - b1, b1 - b0);
+    EXPECT_EQ(frame_count.Value() - f1, f1 - f0);
+    EXPECT_EQ(spans.Count() - s1, s1 - s0);
+  }
+}
+
+TEST(PdpOfBlock, RejectsMalformedBlocks) {
+  const std::vector<int> idx = CsiFrame::Ht20Indices();
+  const std::vector<Cplx> block(2 * idx.size(), Cplx(1.0, 0.0));
+  const double bw = common::kBandwidth20MHz;
+  EXPECT_THROW(PdpOfBlock({}, idx, 64, bw), std::logic_error);
+  EXPECT_THROW(PdpOfBlock(std::span<const Cplx>(block).first(idx.size() + 1),
+                          idx, 64, bw),
+               std::logic_error);
+  EXPECT_THROW(PdpOfBlock(block, {}, 64, bw), std::logic_error);
+  EXPECT_THROW(PdpOfBlock(block, idx, 32, bw), std::logic_error);  // k = 28.
+  EXPECT_THROW(PdpOfBlock(block, idx, 64, 0.0), std::logic_error);
+  std::vector<int> dc = idx;
+  dc[0] = 0;
+  EXPECT_THROW(PdpOfBlock(block, dc, 64, bw), std::logic_error);
+  EXPECT_GT(PdpOfBlock(block, idx, 64, bw), 0.0);
 }
 
 // The paper's Fig. 3 dichotomy in miniature: attenuating the first path

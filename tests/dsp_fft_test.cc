@@ -2,12 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 #include <numbers>
 
 #include "common/rng.h"
 #include "dsp/fft_plan.h"
+#include "simd/dispatch.h"
 
 namespace nomloc::dsp {
 namespace {
@@ -143,6 +146,46 @@ TEST(Ifft, MatchesNaiveInverse) {
     const auto x = RandomSignal(n, 100 + n);
     EXPECT_LT(MaxAbsDiff(Ifft(x), DftNaive(x, true)), 1e-9) << "n=" << n;
   }
+}
+
+// The radix-2 inverse scales by the exact reciprocal 1/n: on every SIMD
+// target its output equals the unscaled inverse divided element-wise by
+// n, bit for bit, for ordinary inputs and for inputs whose results go
+// subnormal.  The unscaled inverse is conj(Forward(conj(x))): the same
+// butterflies with conjugated twiddles, exact under IEEE negation.
+TEST(FftPlan, InverseScaleEqualsDivisionOnEveryTarget) {
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  for (const simd::Target target :
+       {simd::Target::kScalar, simd::Target::kSse2, simd::Target::kNeon,
+        simd::Target::kAvx2}) {
+    if (!simd::TargetSupported(target)) continue;
+    simd::ForceTarget(target);
+    for (const std::size_t n : {8u, 64u, 256u}) {
+      const FftPlan plan(n);
+      std::size_t subnormal = 0;
+      for (const double scale : {1.0, 0x1p-1016, 0x1p-1060}) {
+        std::vector<Cplx> x = RandomSignal(n, 0x5ca1e + n);
+        for (Cplx& v : x) v *= scale;
+        std::vector<Cplx> got = x;
+        plan.Inverse(got);
+        std::vector<Cplx> want(n);
+        for (std::size_t i = 0; i < n; ++i) want[i] = std::conj(x[i]);
+        plan.Forward(want);
+        for (std::size_t i = 0; i < n; ++i) {
+          const Cplx unscaled = std::conj(want[i]);
+          const double re = unscaled.real() / double(n);
+          const double im = unscaled.imag() / double(n);
+          EXPECT_EQ(bits(got[i].real()), bits(re))
+              << simd::TargetName(target) << " n=" << n << " bin=" << i;
+          EXPECT_EQ(bits(got[i].imag()), bits(im))
+              << simd::TargetName(target) << " n=" << n << " bin=" << i;
+          subnormal += std::fpclassify(re) == FP_SUBNORMAL;
+        }
+      }
+      EXPECT_GT(subnormal, 0u) << simd::TargetName(target) << " n=" << n;
+    }
+  }
+  simd::ForceTarget(simd::ResolveTarget());
 }
 
 class FftRoundTripTest : public ::testing::TestWithParam<std::size_t> {};

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "channel/csi_model.h"
+#include "common/metrics.h"
 #include "dsp/cir.h"
 #include "eval/scenario.h"
 
@@ -28,6 +29,35 @@ RunConfig TinyConfig() {
   cfg.dwell_count = 6;
   cfg.seed = 9;
   return cfg;
+}
+
+// One epoch per lab site, as perfbench's paper_lab measures them: one
+// dsp.pdp.batches{mode=siso} per anchor and one dsp.pdp.frames per packet
+// (50 x (3 static APs + 8 dwells) = 550 per epoch at the defaults),
+// whichever SISO path extracts the PDPs.
+TEST(MeasureEpoch, CountsOneBatchPerAnchorAndOneFramePerPacket) {
+  const Scenario lab = LabScenario();
+  const RunConfig cfg;  // paper_lab's defaults.
+  auto& registry = common::MetricRegistry::Global();
+  const auto& batches = registry.Counter("dsp.pdp.batches", "mode=siso");
+  const auto& frames = registry.Counter("dsp.pdp.frames");
+  const std::uint64_t batches0 = batches.Value();
+  const std::uint64_t frames0 = frames.Value();
+  common::Rng rng(0x3ea5);
+  std::uint64_t anchors = 0;
+  for (const Vec2 site : lab.test_sites) {
+    auto measured = MeasureEpoch(lab, cfg, site, rng);
+    ASSERT_TRUE(measured.ok()) << measured.status().ToString();
+    anchors += measured->size();
+  }
+  const std::size_t packets_per_epoch =
+      cfg.packets_per_batch *
+      (lab.static_aps.size() - cfg.nomadic_ap_count +
+       cfg.nomadic_ap_count * cfg.dwell_count);
+  EXPECT_EQ(packets_per_epoch, 550u);
+  EXPECT_EQ(batches.Value() - batches0, anchors);
+  EXPECT_EQ(frames.Value() - frames0,
+            lab.test_sites.size() * packets_per_epoch);
 }
 
 TEST(LocalizeEpoch, StaticDeploymentUsesExactlyTheStaticAps) {

@@ -124,24 +124,38 @@ TEST_P(SimdKernelsTest, ScaleAndInvScaleBitIdentical) {
   }
 }
 
+// One call over `terms` table rows equals the scalar table's call and
+// `terms` one-term calls in order, bit for bit: the path sum of
+// LinkModel::Synthesize against the one call per path it replaced.
 TEST_P(SimdKernelsTest, CplxAxpyBitIdentical) {
   common::Rng rng(0xa3);
-  for (std::size_t n : kLengths) {
-    const auto tr = RandomVec(rng, n, /*with_denormals=*/true);
-    const auto ti = RandomVec(rng, n);
-    auto outr = RandomVec(rng, n);
-    auto outi = RandomVec(rng, n);
-    auto outr_s = outr;
-    auto outi_s = outi;
-    const double br = rng.Uniform(-2.0, 2.0);
-    const double bi = rng.Uniform(-2.0, 2.0);
-    table_->cplx_axpy(n, br, bi, tr.data(), ti.data(), outr.data(),
-                      outi.data());
-    scalar_->cplx_axpy(n, br, bi, tr.data(), ti.data(), outr_s.data(),
-                       outi_s.data());
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(outr[i], outr_s[i]) << i;
-      EXPECT_EQ(outi[i], outi_s[i]) << i;
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  for (const std::size_t terms : {0, 1, 2, 33}) {
+    for (std::size_t n : kLengths) {
+      const auto tr = RandomVec(rng, terms * n, /*with_denormals=*/true);
+      const auto ti = RandomVec(rng, terms * n);
+      const auto br = RandomVec(rng, terms);
+      const auto bi = RandomVec(rng, terms, /*with_denormals=*/true);
+      auto outr = RandomVec(rng, n);
+      auto outi = RandomVec(rng, n, /*with_denormals=*/true);
+      auto outr_s = outr;
+      auto outi_s = outi;
+      auto outr_1 = outr;
+      auto outi_1 = outi;
+      table_->cplx_axpy(n, terms, br.data(), bi.data(), tr.data(), ti.data(),
+                        outr.data(), outi.data());
+      scalar_->cplx_axpy(n, terms, br.data(), bi.data(), tr.data(),
+                         ti.data(), outr_s.data(), outi_s.data());
+      for (std::size_t t = 0; t < terms; ++t) {
+        table_->cplx_axpy(n, 1, &br[t], &bi[t], tr.data() + t * n,
+                          ti.data() + t * n, outr_1.data(), outi_1.data());
+      }
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(bits(outr[i]), bits(outr_s[i])) << terms << " " << i;
+        EXPECT_EQ(bits(outi[i]), bits(outi_s[i])) << terms << " " << i;
+        EXPECT_EQ(bits(outr[i]), bits(outr_1[i])) << terms << " " << i;
+        EXPECT_EQ(bits(outi[i]), bits(outi_1[i])) << terms << " " << i;
+      }
     }
   }
 }
@@ -432,6 +446,28 @@ TEST_P(SimdKernelsTest, NoReadOrWriteBeyondLength) {
     table_->axpy(n, 0.5, a.data(), y.data());
     for (std::size_t i = 0; i < n; ++i) EXPECT_TRUE(std::isfinite(y[i]));
     for (std::size_t i = n; i < n + kPad; ++i) EXPECT_EQ(y[i], kSentinel);
+
+    // Three rows of a terms x n table: nothing past the last row is read
+    // and nothing past n is written.
+    constexpr std::size_t kTerms = 3;
+    std::vector<double> tr = RandomVec(rng, kTerms * n + kPad);
+    std::vector<double> ti = RandomVec(rng, kTerms * n + kPad);
+    std::vector<double> br = RandomVec(rng, kTerms + kPad);
+    std::vector<double> bi = RandomVec(rng, kTerms + kPad);
+    for (std::size_t i = kTerms * n; i < tr.size(); ++i) tr[i] = ti[i] = kNaN;
+    for (std::size_t i = kTerms; i < br.size(); ++i) br[i] = bi[i] = kNaN;
+    std::vector<double> outr(n + kPad, kSentinel);
+    std::vector<double> outi(n + kPad, kSentinel);
+    table_->cplx_axpy(n, kTerms, br.data(), bi.data(), tr.data(), ti.data(),
+                      outr.data(), outi.data());
+    for (std::size_t i = 0; i < n; ++i) {
+      EXPECT_TRUE(std::isfinite(outr[i]));
+      EXPECT_TRUE(std::isfinite(outi[i]));
+    }
+    for (std::size_t i = n; i < n + kPad; ++i) {
+      EXPECT_EQ(outr[i], kSentinel);
+      EXPECT_EQ(outi[i], kSentinel);
+    }
 
     // In place over n pairs: the 2n doubles after them stay untouched.
     std::vector<double> pairs = UniformPairs(rng, n);
