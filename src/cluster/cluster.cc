@@ -50,6 +50,19 @@ std::uint64_t JitterMix(std::uint64_t x) noexcept {
 
 constexpr std::size_t kNoShard = static_cast<std::size_t>(-1);
 
+/// An object's effective primary: the first slot in its preference order
+/// whose host is live (kNoShard when none is).  `order` is a reused
+/// buffer.
+std::size_t EffectivePrimary(const PlacementTable& table,
+                             const std::vector<ShardHost*>& hosts,
+                             std::uint64_t object_id,
+                             std::vector<std::size_t>& order) {
+  table.PreferenceOrder(object_id, order);
+  for (std::size_t index : order)
+    if (hosts[index] != nullptr) return index;
+  return kNoShard;
+}
+
 /// Write-retry backoff: the first wait, doubling up to the cap.
 constexpr double kWriteRetryBaseMs = 1.0;
 constexpr double kWriteRetryMaxMs = 50.0;
@@ -98,8 +111,6 @@ struct Cluster::Slot {
   bool reader_done = true;
   /// Last Checkpoint()/Migrate() dump, for Restart().
   std::string checkpoint;
-  /// Last full standby-store dump (replicate mode), saved alongside.
-  std::string standby_checkpoint;
 };
 
 common::Result<std::unique_ptr<Cluster>> Cluster::Create(
@@ -472,6 +483,16 @@ void Cluster::BroadcastEpoch(std::uint64_t epoch) {
   }
 }
 
+std::vector<ShardHost*> Cluster::LiveHosts() {
+  std::vector<ShardHost*> hosts(slots_.size(), nullptr);
+  for (std::size_t index = 0; index < slots_.size(); ++index) {
+    Slot& slot = *slots_[index];
+    std::lock_guard<std::mutex> lock(slot.mutex);
+    if (slot.live && slot.host != nullptr) hosts[index] = slot.host.get();
+  }
+  return hosts;
+}
+
 void Cluster::AntiEntropyRepair() {
   static auto& promoted = Metric("cluster.promoted_sessions");
   static auto& repaired = Metric("cluster.repair.sessions");
@@ -480,19 +501,10 @@ void Cluster::AntiEntropyRepair() {
   // Snapshot the live hosts.  The caller holds failover_mutex_ and the
   // cluster is flushed; Kill/Restart/Migrate must not run concurrently
   // (the same single-driver contract Migrate already has).
-  std::vector<ShardHost*> hosts(slots_.size(), nullptr);
-  for (std::size_t index = 0; index < slots_.size(); ++index) {
-    Slot& slot = *slots_[index];
-    std::lock_guard<std::mutex> lock(slot.mutex);
-    if (slot.live && slot.host != nullptr) hosts[index] = slot.host.get();
-  }
-
+  const std::vector<ShardHost*> hosts = LiveHosts();
   std::vector<std::size_t> order;
   const auto effective_primary = [&](std::uint64_t object_id) {
-    table_.PreferenceOrder(object_id, order);
-    for (std::size_t index : order)
-      if (hosts[index] != nullptr) return index;
-    return kNoShard;
+    return EffectivePrimary(table_, hosts, object_id, order);
   };
   const auto proper_standby = [&](std::uint64_t object_id) {
     table_.PreferenceOrder(object_id, order);
@@ -531,7 +543,7 @@ void Cluster::AntiEntropyRepair() {
     });
     if (replace)
       for (std::uint64_t id : ids) to.Erase(id);
-    const auto merged = to.MergeMissingFromJson(dump);
+    const auto merged = to.MergeFromJson(dump);
     const std::size_t copied = merged.ok() ? *merged : 0;
     skipped.Increment(offered - copied);
     return copied;
@@ -657,21 +669,14 @@ common::Result<void> Cluster::Checkpoint(std::size_t shard) {
         return table_.ShardOf(object_id) == shard;
       });
   slot.checkpoint = checkpoint.Dump();
-  if (config_.replicate)
-    slot.standby_checkpoint =
-        slot.host->StandbyStore().CheckpointJson(nullptr).Dump();
   if (!config_.durable_dir.empty()) {
     // Durable checkpoint + WAL reset are one logical step, taken while
-    // the shard is quiesced: the files reflect exactly the state whose
+    // the shard is quiesced: the file reflects exactly the state whose
     // WAL prefix is being discarded.
     const std::string dir = slot.host->DurableDir();
     NOMLOC_RETURN_IF_ERROR(
         serving::SaveCheckpointFile(ShardCheckpointPath(dir),
                                     slot.checkpoint).status());
-    if (config_.replicate)
-      NOMLOC_RETURN_IF_ERROR(
-          serving::SaveCheckpointFile(ShardStandbyPath(dir),
-                                      slot.standby_checkpoint).status());
     NOMLOC_RETURN_IF_ERROR(slot.host->ResetWal().status());
   }
   Metric("cluster.checkpoints").Increment();
@@ -680,20 +685,21 @@ common::Result<void> Cluster::Checkpoint(std::size_t shard) {
 
 common::Result<void> Cluster::Migrate(std::size_t shard) {
   NOMLOC_RETURN_IF_ERROR(Checkpoint(shard).status());
-  // The flush above drained every in-flight frame, so between here and
-  // the swap the slot only has to hold new ingest off (AttachHost takes
-  // the slot mutex for the flip itself).
-  DetachHost(shard);
   std::string dump, standby_dump;
   {
     Slot& slot = *slots_[shard];
     std::lock_guard<std::mutex> lock(slot.mutex);
     dump = slot.checkpoint;
-    standby_dump = slot.standby_checkpoint;
+    // The new host takes over the warm-standby copies too, in memory
+    // (they are never on disk): without them a crash of another shard
+    // right after the migration would promote nothing.
+    if (config_.replicate && slot.host != nullptr)
+      standby_dump = slot.host->StandbyStore().CheckpointJson().Dump();
   }
-  // The new host takes over the warm-standby copies too (Checkpoint took
-  // them in replicate mode): without them a crash of another shard right
-  // after the migration would promote nothing.
+  // The flush above drained every in-flight frame, so between here and
+  // the swap the slot only has to hold new ingest off (AttachHost takes
+  // the slot mutex for the flip itself).
+  DetachHost(shard);
   NOMLOC_RETURN_IF_ERROR(AttachHost(shard, &dump, &standby_dump).status());
   Metric("cluster.migrations").Increment();
   return {};
@@ -739,7 +745,7 @@ common::Result<void> Cluster::Recover(std::size_t shard) {
   // A crash no write has found yet has promoted nothing: fail over first,
   // so the repair below hands the standby copies back to this shard.
   MaybeFailover(shard);
-  // The fresh host self-restores from its checkpoint files + WAL replay
+  // The fresh host self-restores from its checkpoint file + WAL replay
   // when the cluster is durable (ShardHost::Recover).
   NOMLOC_RETURN_IF_ERROR(AttachHost(shard, nullptr).status());
   {
@@ -756,6 +762,17 @@ common::Result<void> Cluster::Recover(std::size_t shard) {
         epoch_.fetch_add(1, std::memory_order_acq_rel) + 1;
     table_.SetEpoch(epoch);
     BroadcastEpoch(epoch);
+    // The WAL replays every frame the host received, including traffic
+    // it served for other shards' objects while they were down.  Drop
+    // the sessions whose effective primary is another shard: the repair
+    // would otherwise hand these stale copies back over the owners'
+    // newer ones.
+    const std::vector<ShardHost*> hosts = LiveHosts();
+    std::vector<std::size_t> order;
+    if (ShardHost* host = hosts[shard])
+      for (std::uint64_t id : host->Store().ObjectIds(nullptr))
+        if (EffectivePrimary(table_, hosts, id, order) != shard)
+          host->Store().Erase(id);
     if (config_.replicate) AntiEntropyRepair();
   }
   Metric("cluster.recoveries").Increment();

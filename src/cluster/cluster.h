@@ -45,8 +45,10 @@
 // kRejectedStaleEpoch — the split-brain fence), and an anti-entropy
 // repair that promotes the dead shard's standby copies into their new
 // primaries.  Recover() reverses it: the shard comes back (from its WAL
-// + checkpoint files when durable_dir is set), promoted sessions are
-// handed back, and standby copies are re-seeded.  See DESIGN.md
+// + checkpoint file when durable_dir is set), drops the sessions a live
+// peer owns, promoted sessions are handed back, and standby copies are
+// re-seeded from the live primaries.  A shard persists only the sessions
+// it owns; a standby copy is never on disk.  See DESIGN.md
 // "Replication & failover".
 //
 // All cluster metrics are namespaced `cluster.*`; AllMetricNames() is the
@@ -91,8 +93,9 @@ struct ClusterConfig {
   /// >= 2 shards.
   bool replicate = false;
   /// Durable state root (empty = in-memory cluster).  Each shard gets
-  /// `<durable_dir>/shard-N` holding its WAL segments + checkpoint files;
-  /// Recover() brings a killed shard back from them.
+  /// `<durable_dir>/shard-N` holding its WAL segments + checkpoint.json
+  /// (its own sessions, never standby copies); Recover() brings a killed
+  /// shard back from them.
   std::string durable_dir;
   bool wal_fsync = true;
   /// Router-side reconnect/retry policy: a transport write that reports
@@ -158,18 +161,23 @@ class Cluster {
 
   /// Brings a killed shard back on a fresh host + link, loaded from the
   /// last Checkpoint()/Migrate() dump (sessions since that dump are lost —
-  /// they age out via TTL).  The shard's breaker is kept: the router
+  /// they age out via TTL).  A replicated shard comes back without
+  /// standby copies: the dump holds only its own sessions, and the next
+  /// repair reseeds them.  The shard's breaker is kept: the router
   /// re-admits it through the half-open probe path.
   common::Result<void> Restart(std::size_t shard);
 
   /// Full recovery of a killed shard: reattach a host (which, with a
-  /// durable_dir, self-restores from its checkpoint files + WAL replay),
-  /// bump the placement epoch, and run anti-entropy repair — promoted
-  /// sessions are handed back to the recovered owner (its replayed copy
-  /// is superseded by the promoted one, which kept absorbing writes
-  /// while it was down) and every session's standby copy is re-seeded on
-  /// the proper host.  The shard's breaker is reset: after Recover() the
-  /// cluster serves exactly as if the failure never happened.
+  /// durable_dir, self-restores its own sessions from checkpoint.json +
+  /// WAL replay), bump the placement epoch, drop every session the
+  /// recovered host replayed for an object a live peer owns (the first
+  /// live slot in the object's preference order), and in replicate mode
+  /// run anti-entropy repair — promoted sessions are handed back to the
+  /// recovered owner (its replayed copy is superseded by the promoted
+  /// one, which kept absorbing writes while it was down) and every
+  /// session's standby copy is re-seeded from its live primary.  The
+  /// shard's breaker is reset: after Recover() the cluster serves
+  /// exactly as if the failure never happened.
   common::Result<void> Recover(std::size_t shard);
 
   /// Chaos: stall `shard`'s ingest direction (bytes queue up to the
@@ -221,6 +229,8 @@ class Cluster {
   /// bump + broadcast, anti-entropy repair).  Races resolve to a single
   /// promotion via the slot's failed_over latch.
   void MaybeFailover(std::size_t shard);
+  /// Each slot's host while it is live, else null.
+  std::vector<ShardHost*> LiveHosts();
   /// In-band kEpochSet to every live shard.
   void BroadcastEpoch(std::uint64_t epoch);
   /// Global 4-pass convergence sweep (caller holds failover_mutex_ and

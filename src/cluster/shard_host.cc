@@ -89,9 +89,6 @@ common::Result<void> ShardHost::Recover() {
   NOMLOC_RETURN_IF_ERROR(
       RestoreCheckpointFile(ShardCheckpointPath(options_.durable_dir),
                             localizer_->Store()).status());
-  NOMLOC_RETURN_IF_ERROR(
-      RestoreCheckpointFile(ShardStandbyPath(options_.durable_dir), *standby_)
-          .status());
   serving::WalConfig wal_config;
   wal_config.directory = options_.durable_dir;
   wal_config.fsync = options_.wal_fsync;
@@ -100,8 +97,7 @@ common::Result<void> ShardHost::Recover() {
       serving::WriteAheadLog::Open(
           wal_config,
           serving::WireDecoderAccept{.packets = true, .responses = false,
-                                     .controls = true, .replicates = true,
-                                     .ordered = true}));
+                                     .controls = true, .ordered = true}));
   for (const serving::WireEvent& event : opened.events)
     ApplyEvent(event, nullptr);
   if (!opened.events.empty()) {
@@ -241,9 +237,6 @@ void ShardHost::EncodeForWal(const serving::WireEvent& event,
     case serving::kWireObservationFrame:
     case serving::kWireQueryFrame:
       serving::AppendWireFrame(event.packet, out);
-      break;
-    case serving::kWireReplicateFrame:
-      serving::AppendWireReplicateFrame(event.replicate, out);
       break;
     case serving::kWireControlFrame:
       // kFlush/kFlushAck are barriers, not state: replaying a flush would

@@ -9,7 +9,8 @@
 //                           timestamp)
 //   replicate            -> warm-standby SessionStore::Upsert — the
 //                           backup copy of another shard's primary write
-//                           (epoch-fenced; see ApplyReplicate)
+//                           (epoch-fenced; see ApplyReplicate; never
+//                           logged: a standby copy is derived state)
 //   kEpochSet            -> adopt the router's placement epoch; replicate
 //                           frames stamped with an older epoch are
 //                           rejected from then on
@@ -24,14 +25,15 @@
 // guarantee (see DESIGN.md "Cluster shard topology").
 //
 // Durability (ShardHostOptions::durable_dir): the host keeps a
-// write-ahead log of every state-bearing frame it applies — observation,
-// query, replicate, kEpochSet; kFlush is a barrier, not state
-// — appending each decoded batch *before* applying it.  Create() then
-// recovers a crashed host to its exact pre-crash state: restore
-// checkpoint.json (primary) and standby.json (replica copies), replay
-// the WAL on top, discard the replayed queries' responses (the router
-// collected the originals before the crash).  See serving/wal.h for the
-// torn-tail and corruption contract.
+// write-ahead log of the frames that carry its own state — observation,
+// query, kEpochSet; kFlush is a barrier, and a replicate frame only
+// feeds the standby store — appending each decoded batch *before*
+// applying it.  Create() then recovers a crashed host's primary store:
+// restore checkpoint.json, replay the WAL on top, discard the replayed
+// queries' responses (the router collected the originals before the
+// crash).  The standby store is never on disk: it comes back empty, and
+// only a live primary reseeds it (the router's dual-write and its repair
+// pass).  See serving/wal.h for the torn-tail and corruption contract.
 //
 // The host never reads the router's clock and shares no memory with the
 // router beyond the Link: everything it needs crosses the wire, so the
@@ -55,13 +57,10 @@
 
 namespace nomloc::cluster {
 
-/// File names inside a shard's durable directory (next to its WAL
-/// segments; the WAL's `wal-NNNNNN.log` scan ignores them).
+/// The checkpoint file inside a shard's durable directory (next to its
+/// WAL segments; the WAL's `wal-NNNNNN.log` scan ignores it).
 inline std::string ShardCheckpointPath(const std::string& durable_dir) {
   return durable_dir + "/checkpoint.json";
-}
-inline std::string ShardStandbyPath(const std::string& durable_dir) {
-  return durable_dir + "/standby.json";
 }
 
 struct ShardHostOptions {
@@ -70,8 +69,8 @@ struct ShardHostOptions {
   /// older epoch are stale-fenced (`cluster.placement.stale_epoch`).
   std::uint64_t placement_epoch = 0;
   /// Durable state directory (empty = in-memory host).  Holds the WAL
-  /// segments plus checkpoint.json / standby.json; Create() recovers
-  /// from all three before the reader starts.
+  /// segments plus checkpoint.json, the primary store's sessions only;
+  /// Create() recovers from both before the reader starts.
   std::string durable_dir;
   bool wal_fsync = true;
 };
@@ -79,7 +78,7 @@ struct ShardHostOptions {
 class ShardHost {
  public:
   /// `engine` must outlive the host.  Takes ownership of the host end of
-  /// a Link pair.  With a durable_dir, recovers checkpoint files + WAL
+  /// a Link pair.  With a durable_dir, recovers checkpoint.json + WAL
   /// before accepting traffic.
   static common::Result<std::unique_ptr<ShardHost>> Create(
       const core::NomLocEngine& engine, serving::ServingConfig serving_config,
@@ -97,7 +96,7 @@ class ShardHost {
   /// Unclean stop: the crash end of the chaos spectrum.  The reader
   /// abandons decoded-but-unapplied batches instead of draining them, so
   /// the host dies mid-stream exactly like a killed process — recovery
-  /// must come from the WAL + checkpoint files, not a graceful drain.
+  /// must come from the WAL + checkpoint file, not a graceful drain.
   /// (Frames already WAL-appended may be unapplied; replay reconciles.)
   void Abort();
 
@@ -105,7 +104,9 @@ class ShardHost {
   /// while the host is quiesced (flushed, or stopped).
   serving::SessionStore& Store() { return localizer_->Store(); }
   /// Warm-standby copies of *other* shards' sessions, fed by replicate
-  /// frames.  Promotion moves entries from here into a primary store.
+  /// frames and the router's repair.  Promotion moves entries from here
+  /// into a primary store.  In memory only: a recovered host starts it
+  /// empty.
   serving::SessionStore& StandbyStore() { return *standby_; }
 
   std::uint64_t PlacementEpoch() const noexcept {
@@ -125,8 +126,8 @@ class ShardHost {
   serving::AdmitStatus ApplyReplicate(const serving::WireReplicate& replicate);
 
   /// Deletes every WAL segment (compaction).  Call only while quiesced
-  /// and immediately after the state the WAL reflects was saved via
-  /// checkpoint files — the two together are one logical step.
+  /// and immediately after the state the WAL reflects was saved to
+  /// checkpoint.json — the two together are one logical step.
   common::Result<void> ResetWal();
 
   const std::string& DurableDir() const noexcept {
@@ -137,15 +138,16 @@ class ShardHost {
   ShardHost(const core::NomLocEngine& engine, std::unique_ptr<Link> link,
             ShardHostOptions options);
 
-  /// Restores checkpoint files + WAL replay (durable_dir set), then
+  /// Restores checkpoint.json + WAL replay (durable_dir set), then
   /// opens the WAL for appending.  Runs before the reader starts.
   common::Result<void> Recover();
   void ReaderLoop();
   /// Applies one decoded frame.  `outbound` is the reader's write buffer
   /// (null during WAL replay, when no flush frames exist to answer).
   void ApplyEvent(const serving::WireEvent& event, std::string* outbound);
-  /// Re-encodes the state-bearing frames of a batch for the WAL (kFlush
-  /// and kFlushAck are skipped — barriers, not state).
+  /// Re-encodes the frames of a batch that carry the host's own state
+  /// for the WAL (kFlush and kFlushAck are barriers and replicate frames
+  /// feed the standby store: all three are skipped).
   static void EncodeForWal(const serving::WireEvent& event, std::string& out);
   /// Flush + encode responses + ack.  Runs on the reader thread.
   void HandleFlush(std::uint64_t token, std::string& outbound);

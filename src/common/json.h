@@ -39,6 +39,16 @@ class Json {
   Json(std::string s) : value_(std::move(s)) {}      // NOLINT
   Json(JsonArray a) : value_(std::move(a)) {}        // NOLINT
   Json(JsonObject o) : value_(std::move(o)) {}       // NOLINT
+  Json(const Json&) = default;
+  Json& operator=(const Json&) = default;
+  // Moves transfer the held alternative directly, not through <variant>'s
+  // own move operations: in those GCC 12 reports -Wmaybe-uninitialized
+  // false positives wherever a Json is moved into a container.
+  Json(Json&& other) noexcept : value_(MoveOut(other.value_)) {}
+  Json& operator=(Json&& other) noexcept {
+    std::visit([this](auto& v) { value_ = std::move(v); }, other.value_);
+    return *this;
+  }
 
   bool is_null() const noexcept { return Holds<std::nullptr_t>(); }
   bool is_bool() const noexcept { return Holds<bool>(); }
@@ -76,15 +86,27 @@ class Json {
   }
 
  private:
+  using Value = std::variant<std::nullptr_t, bool, double, std::string,
+                             JsonArray, JsonObject>;
+
   template <typename T>
   bool Holds() const noexcept {
     return std::holds_alternative<T>(value_);
   }
   void DumpTo(std::string& out, int indent, int depth) const;
+  /// The held alternative, moved out of `v` (indices follow Value).
+  static Value MoveOut(Value& v) noexcept {
+    switch (v.index()) {
+      case 1: return std::get<1>(v);
+      case 2: return std::get<2>(v);
+      case 3: return std::move(std::get<3>(v));
+      case 4: return std::move(std::get<4>(v));
+      case 5: return std::move(std::get<5>(v));
+      default: return nullptr;
+    }
+  }
 
-  std::variant<std::nullptr_t, bool, double, std::string, JsonArray,
-               JsonObject>
-      value_;
+  Value value_;
 };
 
 }  // namespace nomloc::common

@@ -554,10 +554,6 @@ common::Result<LastKnownGood> LastGoodFromJson(const common::Json& json) {
 
 }  // namespace
 
-common::Json SessionStore::CheckpointJson() const {
-  return CheckpointJson(nullptr);
-}
-
 common::Json SessionStore::CheckpointJson(
     const std::function<bool(std::uint64_t)>& owned) const {
   common::JsonObject root;
@@ -623,21 +619,16 @@ common::Json SessionStore::CheckpointJson(
 
 common::Result<std::size_t> SessionStore::RestoreFromJson(
     const common::Json& json) {
-  return RestoreImpl(json, RestoreMode::kReplace);
+  return RestoreImpl(json, /*replace=*/true);
 }
 
 common::Result<std::size_t> SessionStore::MergeFromJson(
     const common::Json& json) {
-  return RestoreImpl(json, RestoreMode::kMerge);
-}
-
-common::Result<std::size_t> SessionStore::MergeMissingFromJson(
-    const common::Json& json) {
-  return RestoreImpl(json, RestoreMode::kMergeMissing);
+  return RestoreImpl(json, /*replace=*/false);
 }
 
 common::Result<std::size_t> SessionStore::RestoreImpl(const common::Json& json,
-                                                      RestoreMode mode) {
+                                                      bool replace) {
   NOMLOC_ASSIGN_OR_RETURN(double version, json.GetDouble("schema_version"));
   if (version != kCheckpointSchemaVersion)
     return common::InvalidArgument("unsupported checkpoint schema version");
@@ -726,18 +717,7 @@ common::Result<std::size_t> SessionStore::RestoreImpl(const common::Json& json,
     staged.push_back(std::move(session));
   }
 
-  if (mode == RestoreMode::kMerge) {
-    // All-or-nothing: a collision with a live session fails before any
-    // staged session has been linked in.
-    for (const StagedSession& session : staged) {
-      const Shard& shard = *shards_[ShardOf(session.object_id)];
-      std::lock_guard<std::mutex> lock(shard.mutex);
-      if (shard.index.Find(session.object_id) != nullptr)
-        return common::DataCorruption(
-            "merge checkpoint object_id " +
-            std::to_string(session.object_id) + " already has a session");
-    }
-  } else if (mode == RestoreMode::kReplace) {
+  if (replace) {
     for (const auto& shard : shards_) {
       std::lock_guard<std::mutex> lock(shard->mutex);
       shard->index.Clear();
@@ -751,9 +731,9 @@ common::Result<std::size_t> SessionStore::RestoreImpl(const common::Json& json,
   for (const StagedSession& session : staged) {
     Shard& shard = *shards_[ShardOf(session.object_id)];
     std::lock_guard<std::mutex> lock(shard.mutex);
-    if (mode == RestoreMode::kMergeMissing &&
-        shard.index.Find(session.object_id) != nullptr)
-      continue;
+    // A live session supersedes the checkpoint's copy (after a replace's
+    // clear, only a racing Upsert can have made one).
+    if (shard.index.Find(session.object_id) != nullptr) continue;
     const std::uint32_t slot = shard.sessions.Alloc();
     *shard.index.Insert(session.object_id).first = slot;
     // Link anchors (already key-sorted) and their observation chains.

@@ -197,22 +197,17 @@ class SessionStore {
       const std::function<std::shared_ptr<localization::SpSolverSession>()>&
           make);
 
-  /// Serialises every shard's sessions (anchors, observations, last-known
-  /// -good estimates) into a schema-versioned JSON document.  Object ids
-  /// are extracted and sorted first (flat-map iteration order depends on
-  /// insertion history), so equal stores checkpoint to equal bytes no
-  /// matter how their contents were built up.
-  common::Json CheckpointJson() const;
-
-  /// Filtered checkpoint: only sessions whose object id satisfies `owned`
-  /// are serialised (same document schema and byte layout).  This is the
-  /// shard-migration path — a cluster router checkpoints just the ids a
-  /// placement range owns instead of the whole store.  Checkpoints taken
-  /// with complementary predicates and merged via MergeFromJson dump to
-  /// the same bytes as one full checkpoint (sessions are sorted by id).
-  /// A null predicate means "everything" (== CheckpointJson()).
+  /// Serialises the sessions (anchors, observations, last-known-good
+  /// estimates) whose object id satisfies `owned` — every session when
+  /// it is null — into a schema-versioned JSON document.  Sessions are
+  /// sorted by object id (flat-map iteration order depends on insertion
+  /// history), so equal stores checkpoint to equal bytes no matter how
+  /// their contents were built up, and checkpoints taken with
+  /// complementary predicates merge via MergeFromJson into the bytes of
+  /// one full checkpoint.  A filtered checkpoint is the shard-migration
+  /// path: a cluster router dumps just the ids a placement range owns.
   common::Json CheckpointJson(
-      const std::function<bool(std::uint64_t)>& owned) const;
+      const std::function<bool(std::uint64_t)>& owned = nullptr) const;
 
   /// Replaces the store's contents with a checkpoint produced by
   /// CheckpointJson.  Returns the number of sessions restored; fails with
@@ -223,17 +218,13 @@ class SessionStore {
 
   /// Adds a checkpoint's sessions to the store *without* clearing it —
   /// the merge half of filtered checkpoints.  An object id that already
-  /// has a live session fails with kDataCorruption (two owners claimed
-  /// it); like RestoreFromJson the store is unchanged on any error.
+  /// has a live session keeps it and the checkpoint's copy is skipped:
+  /// the live session formed from newer traffic and supersedes the copy.
+  /// Each id is checked and linked under one shard lock, so an Upsert
+  /// racing the merge can only make its own session skip.  Returns the
+  /// number of sessions merged; like RestoreFromJson the store is
+  /// unchanged on any error.
   common::Result<std::size_t> MergeFromJson(const common::Json& json);
-
-  /// Like MergeFromJson, but an object id that already has a live session
-  /// keeps it and the checkpoint's copy is skipped instead of failing the
-  /// merge: the live session formed from newer traffic and supersedes the
-  /// copy.  Each id is checked and linked under one shard lock, so an
-  /// Upsert racing the merge can only make its own session skip.  Returns
-  /// the number of sessions merged.
-  common::Result<std::size_t> MergeMissingFromJson(const common::Json& json);
 
  private:
   /// One PDP report, index-linked into its anchor's history chain.
@@ -315,11 +306,10 @@ class SessionStore {
   /// when the slot was evicted.  Caller holds the mutex.
   bool SweepSlot(Shard& shard, std::uint32_t slot, double now_s,
                  std::size_t& observations_evicted);
-  /// What a restore does with the sessions already in the store.
-  enum class RestoreMode { kReplace, kMerge, kMergeMissing };
-  /// Shared body of RestoreFromJson / MergeFromJson / MergeMissingFromJson.
+  /// Shared body of RestoreFromJson (`replace` clears the store first)
+  /// and MergeFromJson.
   common::Result<std::size_t> RestoreImpl(const common::Json& json,
-                                          RestoreMode mode);
+                                          bool replace);
 
   SessionStoreConfig config_;
   std::vector<std::unique_ptr<Shard>> shards_;

@@ -5,6 +5,7 @@
 // budget turns transient backpressure into bounded retries, and a stale
 // placement epoch is a typed fence, never a silent overwrite.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -276,6 +277,110 @@ TEST(Replication, RecoverBeforeAnyFailoverKeepsBitParity) {
     EXPECT_EQ(report->parity_compared, report->outcomes.size());
     EXPECT_EQ(report->parity_mismatches, 0u)
         << "shard " << shard << ": " << report->first_mismatch;
+  }
+}
+
+/// A durable replicated cluster of `shards` whose anchors and sessions
+/// live for 100 epochs, so every response depends on the object's whole
+/// history: a session that comes back stale from disk answers
+/// differently from the golden run.  The state directory is fresh and
+/// private to this process.
+ClusterConfig DurableLongHistoryConfig(const Harness& harness,
+                                       std::size_t shards,
+                                       const std::string& name) {
+  ClusterConfig config = ReplicatedConfig(harness);
+  config.shards = shards;
+  config.serving.store.anchor_ttl_s = 100.0 * harness.replay.epoch_interval_s;
+  config.serving.store.session_idle_ttl_s =
+      100.0 * harness.replay.epoch_interval_s;
+  config.durable_dir = ::testing::TempDir() + name + "-" +
+                       std::to_string(::getpid()) + "-" +
+                       std::to_string(shards);
+  config.wal_fsync = false;
+  std::error_code ignored;
+  std::filesystem::remove_all(config.durable_dir, ignored);
+  return config;
+}
+
+/// Replays the plan through a cluster built from `config`, calling
+/// `at_boundary(cluster, epoch_just_finished)` after each boundary's
+/// flush, and bit-compares every response with the golden run.
+template <typename AtBoundary>
+void ExpectBitIdenticalThrough(const Harness& harness,
+                               const ClusterConfig& config,
+                               AtBoundary&& at_boundary) {
+  serving::ManualClock clock;
+  auto cluster = Cluster::Create(harness.engine, config, &clock);
+  ASSERT_TRUE(cluster.ok()) << cluster.status().ToString();
+  Replay(
+      harness, clock,
+      [&](const serving::IngestPacket& p) {
+        EXPECT_EQ((*cluster)->Ingest(p), serving::AdmitStatus::kAccepted);
+      },
+      [&](std::size_t finished) {
+        (*cluster)->Flush();
+        at_boundary(**cluster, finished);
+      });
+  const auto responses = (*cluster)->TakeResponses();
+  (*cluster)->Shutdown();
+  std::error_code ignored;
+  std::filesystem::remove_all(config.durable_dir, ignored);
+  ExpectBitIdentical(responses, GoldenRun(harness, config.serving));
+}
+
+void ExpectRecovered(Cluster& cluster, std::size_t shard) {
+  auto recovered = cluster.Recover(shard);
+  ASSERT_TRUE(recovered.ok()) << recovered.status().ToString();
+}
+
+// While shard 0 is down, shard 1 serves shard 0's objects and its WAL
+// records that traffic.  When shard 1 later crashes and recovers, the
+// replay brings those sessions back; they must not replace the newer
+// copies shard 0 has held since its own recovery.
+TEST(Replication, SequentialDurableCrashesKeepBitParity) {
+  auto harness = MakeHarness(6, 6);
+  ASSERT_TRUE(harness.ok()) << harness.status().ToString();
+  for (std::size_t shards : {2, 3, 4}) {
+    SCOPED_TRACE(::testing::Message() << shards << " shards");
+    ExpectBitIdenticalThrough(
+        *harness,
+        DurableLongHistoryConfig(*harness, shards, "nomloc_sequential"),
+        [](Cluster& cluster, std::size_t finished) {
+          switch (finished) {
+            case 1: cluster.Kill(0, /*unclean=*/true); break;
+            case 2: ExpectRecovered(cluster, 0); break;
+            case 3: cluster.Kill(1, /*unclean=*/true); break;
+            case 4: ExpectRecovered(cluster, 1); break;
+          }
+        });
+  }
+}
+
+// A migration checkpoints shard 0 to disk.  When shard 0 recovers from a
+// later crash, its standby copies must come from the live primaries, not
+// from that checkpoint: by then the copies are stale, and the crash of
+// their primary that follows would promote them.
+TEST(Replication, MigrateThenSequentialDurableCrashesKeepBitParity) {
+  auto harness = MakeHarness(12, 7);
+  ASSERT_TRUE(harness.ok()) << harness.status().ToString();
+  for (std::size_t shards : {2, 3}) {
+    SCOPED_TRACE(::testing::Message() << shards << " shards");
+    ExpectBitIdenticalThrough(
+        *harness,
+        DurableLongHistoryConfig(*harness, shards, "nomloc_migrate_crashes"),
+        [](Cluster& cluster, std::size_t finished) {
+          switch (finished) {
+            case 1: {
+              auto migrated = cluster.Migrate(0);
+              ASSERT_TRUE(migrated.ok()) << migrated.status().ToString();
+              break;
+            }
+            case 2: cluster.Kill(0, /*unclean=*/true); break;
+            case 3: ExpectRecovered(cluster, 0); break;
+            case 4: cluster.Kill(1, /*unclean=*/true); break;
+            case 5: ExpectRecovered(cluster, 1); break;
+          }
+        });
   }
 }
 

@@ -48,7 +48,7 @@
 // accepted observation, so nothing is lost.
 //
 // --wal DIR makes every shard durable under DIR/shard-N (WAL segments +
-// checkpoint files).  --retry-budget N enables router-side write retries
+// checkpoint.json, the shard's own sessions only).  --retry-budget N enables router-side write retries
 // with exponential backoff + jitter before a typed backpressure reject.
 //
 // --chaos [SEED] draws a seeded topology schedule instead (kills with
