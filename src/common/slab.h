@@ -6,8 +6,9 @@
 // constraint sets in slabs instead of node containers: records are
 // fixed-width and index-linked (a uint32 "next" instead of a 64-bit
 // pointer), allocation is a freelist pop, and the per-record overhead is
-// one live-bit — which is what makes bytes-per-session a small, easily
-// asserted number (see DESIGN.md "Serving at scale").
+// a live byte plus a 4-byte freelist link — which is what makes
+// bytes-per-session a small, easily asserted number (see DESIGN.md
+// "Serving at scale").
 //
 // Indices are stable for the record's lifetime (the vector may reallocate
 // but never reorders), so cross-record links stay valid across growth.
@@ -32,9 +33,11 @@ class Slab {
   std::size_t live() const noexcept { return live_; }
   /// Total slots ever created (live + freelist).
   std::size_t capacity() const noexcept { return records_.size(); }
-  /// Bytes backing the slab: records plus the live bitmap.
+  /// Bytes backing the slab: records, the live bitmap and the freelist
+  /// chain.
   std::size_t CapacityBytes() const noexcept {
-    return records_.capacity() * sizeof(T) + alive_.capacity();
+    return records_.capacity() * sizeof(T) + alive_.capacity() +
+           next_free_.capacity() * sizeof(std::uint32_t);
   }
   /// Bytes of live records (the budgeted quantity; freelist slack and
   /// vector growth headroom are resident but reusable).
@@ -45,6 +48,7 @@ class Slab {
   void Reserve(std::size_t n) {
     records_.reserve(n);
     alive_.reserve(n);
+    next_free_.reserve(n);
   }
 
   /// Allocates a default-constructed record and returns its index.

@@ -108,29 +108,34 @@ bool SessionStore::Upsert(std::uint64_t object_id, AnchorKey key,
                           const PdpObservation& obs, double now_s) {
   Shard& shard = *shards_[ShardOf(object_id)];
   std::lock_guard<std::mutex> lock(shard.mutex);
-  auto [slot_ref, created] = shard.index.Insert(object_id);
+  auto [entry, created] = shard.index.Insert(object_id);
   if (created) {
-    *slot_ref = shard.sessions.Alloc();
-    shard.sessions[*slot_ref].object_id = object_id;
+    entry->slot = shard.sessions.Alloc();
+    shard.sessions[entry->slot].object_id = object_id;
   }
-  const std::uint32_t slot = *slot_ref;
+  const std::uint32_t slot = entry->slot;
+  // The anchor walk starts from the index entry, so these session-record
+  // updates overlap the anchor load instead of preceding it.
   SessionRec& session = shard.sessions[slot];
   session.last_touch_s = now_s;
+  session.oldest_ts = std::min(session.oldest_ts, obs.timestamp_s);
 
   // Find the anchor in the key-sorted chain (sessions hold a handful of
   // anchors, so the linear walk beats any per-session table).
   const std::int32_t ap_id = static_cast<std::int32_t>(key.ap_id);
   const std::uint32_t site = static_cast<std::uint32_t>(key.site_index);
   std::uint32_t prev = common::kSlabNil;
-  std::uint32_t cur = session.anchor_head;
+  std::uint32_t cur = entry->anchor_head;
   while (cur != common::kSlabNil) {
     const AnchorRec& a = shard.anchors[cur];
     if (a.ap_id > ap_id || (a.ap_id == ap_id && a.site >= site)) break;
     prev = cur;
     cur = a.next;
   }
-  bool matched = cur != common::kSlabNil && shard.anchors[cur].ap_id == ap_id &&
-                 shard.anchors[cur].site == site;
+  const bool matched = cur != common::kSlabNil &&
+                       shard.anchors[cur].ap_id == ap_id &&
+                       shard.anchors[cur].site == site;
+  std::uint32_t anchor_index = cur;
   // Decide reuse-vs-create from the key's own expiry, not from whether a
   // query-time prune happened to run first: keys_ever must be a pure
   // function of the observation stream's timestamps, because a
@@ -142,6 +147,7 @@ bool SessionStore::Upsert(std::uint64_t object_id, AnchorKey key,
   // observations age out at the next snapshot or sweep, as before.
   if (matched &&
       now_s - shard.anchors[cur].newest_ts > config_.anchor_ttl_s) {
+    // Fully expired: the upsert re-creates the key in the same record.
     AnchorRec& a = shard.anchors[cur];
     std::size_t evicted = 0;
     std::uint32_t obs_index = a.obs_head;
@@ -153,25 +159,19 @@ bool SessionStore::Upsert(std::uint64_t object_id, AnchorKey key,
     }
     ObservationsEvicted().Increment(evicted);
     const std::uint32_t next_anchor = a.next;
-    if (prev == common::kSlabNil)
-      session.anchor_head = next_anchor;
-    else
-      shard.anchors[prev].next = next_anchor;
-    shard.anchors.Free(cur);
-    cur = next_anchor;
-    matched = false;  // fully expired: the upsert re-creates the key
-  }
-  std::uint32_t anchor_index;
-  if (matched) {
-    anchor_index = cur;
-  } else {
+    a = AnchorRec{};
+    a.ap_id = ap_id;
+    a.site = site;
+    a.next = next_anchor;
+    ++session.keys_ever;
+  } else if (!matched) {
     anchor_index = shard.anchors.Alloc();
     AnchorRec& a = shard.anchors[anchor_index];
     a.ap_id = ap_id;
     a.site = site;
     a.next = cur;
     if (prev == common::kSlabNil)
-      session.anchor_head = anchor_index;
+      SetAnchorHead(shard, session, entry, anchor_index);
     else
       shard.anchors[prev].next = anchor_index;
     ++session.keys_ever;
@@ -186,14 +186,7 @@ bool SessionStore::Upsert(std::uint64_t object_id, AnchorKey key,
   rec.pdp = obs.pdp;
   rec.weight = obs.weight;
   rec.timestamp_s = obs.timestamp_s;
-  rec.next = common::kSlabNil;
-  if (anchor.obs_tail == common::kSlabNil)
-    anchor.obs_head = obs_index;
-  else
-    shard.observations[anchor.obs_tail].next = obs_index;
-  anchor.obs_tail = obs_index;
-  anchor.newest_ts = std::max(anchor.newest_ts, obs.timestamp_s);
-  session.oldest_ts = std::min(session.oldest_ts, obs.timestamp_s);
+  AppendObservation(anchor, obs_index, rec);
 
   if (created) {
     static auto& sessions_created =
@@ -261,7 +254,23 @@ void SessionStore::FreeSessionRecords(Shard& shard,
     shard.anchors.Free(anchor_index);
     anchor_index = next;
   }
-  session.anchor_head = common::kSlabNil;
+}
+
+void SessionStore::SetAnchorHead(Shard& shard, SessionRec& session,
+                                 IndexEntry* entry, std::uint32_t head) {
+  if (entry == nullptr) entry = shard.index.Find(session.object_id);
+  session.anchor_head = head;
+  entry->anchor_head = head;
+}
+
+void SessionStore::AppendObservation(AnchorRec& anchor, std::uint32_t index,
+                                     ObsRec& obs) {
+  obs.next = anchor.obs_head;
+  anchor.obs_head = index;
+  anchor.pdp_weight_sum += obs.pdp * obs.weight;
+  anchor.weight_sum += obs.weight;
+  ++anchor.obs_count;
+  anchor.newest_ts = std::max(anchor.newest_ts, obs.timestamp_s);
 }
 
 std::size_t SessionStore::PruneSession(Shard& shard, SessionRec& session,
@@ -271,35 +280,46 @@ std::size_t SessionStore::PruneSession(Shard& shard, SessionRec& session,
     return 0;
   std::size_t evicted = 0;
   double oldest_ts = std::numeric_limits<double>::infinity();
+  std::uint32_t head = session.anchor_head;
   std::uint32_t prev_anchor = common::kSlabNil;
-  std::uint32_t anchor_index = session.anchor_head;
+  std::uint32_t anchor_index = head;
   while (anchor_index != common::kSlabNil) {
     AnchorRec& anchor = shard.anchors[anchor_index];
     // Delay injection can land an old-timestamped observation behind a
-    // newer one, so expiry scans the whole chain, not just the head.
-    std::uint32_t prev_obs = common::kSlabNil;
-    std::uint32_t obs_index = anchor.obs_head;
-    while (obs_index != common::kSlabNil) {
+    // newer one, so expiry scans the whole chain, not just the oldest.
+    // Reversing the chain first visits it in append order, so the
+    // survivors re-enter the running sums oldest-first and are relinked
+    // newest-first.
+    std::uint32_t oldest_first = common::kSlabNil;
+    for (std::uint32_t obs_index = anchor.obs_head;
+         obs_index != common::kSlabNil;) {
+      ObsRec& obs = shard.observations[obs_index];
+      const std::uint32_t next = obs.next;
+      obs.next = oldest_first;
+      oldest_first = obs_index;
+      obs_index = next;
+    }
+    anchor.obs_head = common::kSlabNil;
+    anchor.pdp_weight_sum = 0.0;
+    anchor.weight_sum = 0.0;
+    anchor.obs_count = 0;
+    for (std::uint32_t obs_index = oldest_first;
+         obs_index != common::kSlabNil;) {
       ObsRec& obs = shard.observations[obs_index];
       const std::uint32_t next = obs.next;
       if (now_s - obs.timestamp_s > config_.anchor_ttl_s) {
-        if (prev_obs == common::kSlabNil)
-          anchor.obs_head = next;
-        else
-          shard.observations[prev_obs].next = next;
-        if (anchor.obs_tail == obs_index) anchor.obs_tail = prev_obs;
         shard.observations.Free(obs_index);
         ++evicted;
       } else {
         oldest_ts = std::min(oldest_ts, obs.timestamp_s);
-        prev_obs = obs_index;
+        AppendObservation(anchor, obs_index, obs);
       }
       obs_index = next;
     }
     const std::uint32_t next_anchor = anchor.next;
     if (anchor.obs_head == common::kSlabNil) {
       if (prev_anchor == common::kSlabNil)
-        session.anchor_head = next_anchor;
+        head = next_anchor;
       else
         shard.anchors[prev_anchor].next = next_anchor;
       shard.anchors.Free(anchor_index);
@@ -308,6 +328,8 @@ std::size_t SessionStore::PruneSession(Shard& shard, SessionRec& session,
     }
     anchor_index = next_anchor;
   }
+  if (head != session.anchor_head)
+    SetAnchorHead(shard, session, nullptr, head);
   session.oldest_ts = oldest_ts;
   return evicted;
 }
@@ -316,37 +338,32 @@ common::Result<SessionSnapshot> SessionStore::Snapshot(
     std::uint64_t object_id, double now_s) {
   Shard& shard = *shards_[ShardOf(object_id)];
   std::lock_guard<std::mutex> lock(shard.mutex);
-  const std::uint32_t* slot = shard.index.Find(object_id);
-  if (slot == nullptr) return common::NotFound("no session for object");
-  SessionRec& session = shard.sessions[*slot];
+  const IndexEntry* entry = shard.index.Find(object_id);
+  if (entry == nullptr) return common::NotFound("no session for object");
+  SessionRec& session = shard.sessions[entry->slot];
   const std::size_t evicted = PruneSession(shard, session, now_s);
   if (evicted > 0) ObservationsEvicted().Increment(evicted);
 
   SessionSnapshot snap;
   snap.keys_ever = session.keys_ever;
   snap.last_touch_s = session.last_touch_s;
-  for (std::uint32_t anchor_index = session.anchor_head;
+  // Walked from the index mirror, which Upsert also starts from (the
+  // checkpoint walks from the session record).
+  for (std::uint32_t anchor_index = entry->anchor_head;
        anchor_index != common::kSlabNil;
        anchor_index = shard.anchors[anchor_index].next) {
     const AnchorRec& anchor = shard.anchors[anchor_index];
     localization::Anchor out;
     out.position = {anchor.x, anchor.y};
     out.is_nomadic_site = anchor.is_nomadic;
-    const ObsRec& first = shard.observations[anchor.obs_head];
-    if (first.next == common::kSlabNil) {
+    if (anchor.obs_count == 1) {
       // Bit-exact pass-through: the streaming path must reproduce the
       // batch pipeline exactly when each anchor arrived as one report.
-      out.pdp = first.pdp;
+      out.pdp = shard.observations[anchor.obs_head].pdp;
     } else {
-      double weighted = 0.0, total = 0.0;
-      for (std::uint32_t obs_index = anchor.obs_head;
-           obs_index != common::kSlabNil;
-           obs_index = shard.observations[obs_index].next) {
-        const ObsRec& obs = shard.observations[obs_index];
-        weighted += obs.pdp * obs.weight;
-        total += obs.weight;
-      }
-      out.pdp = total > 0.0 ? weighted / total : 0.0;
+      out.pdp = anchor.weight_sum > 0.0
+                    ? anchor.pdp_weight_sum / anchor.weight_sum
+                    : 0.0;
     }
     snap.anchors.push_back(out);
   }
@@ -436,9 +453,9 @@ bool SessionStore::Contains(std::uint64_t object_id) const {
 bool SessionStore::Erase(std::uint64_t object_id) {
   Shard& shard = *shards_[ShardOf(object_id)];
   std::lock_guard<std::mutex> lock(shard.mutex);
-  const std::uint32_t* slot = shard.index.Find(object_id);
-  if (slot == nullptr) return false;
-  const std::uint32_t session_slot = *slot;
+  const IndexEntry* entry = shard.index.Find(object_id);
+  if (entry == nullptr) return false;
+  const std::uint32_t session_slot = entry->slot;
   SessionRec& session = shard.sessions[session_slot];
   shard.index.Erase(object_id);
   FreeSessionRecords(shard, session);
@@ -452,7 +469,7 @@ std::vector<std::uint64_t> SessionStore::ObjectIds(
   for (const auto& shard_ptr : shards_) {
     const Shard& shard = *shard_ptr;
     std::lock_guard<std::mutex> lock(shard.mutex);
-    shard.index.ForEach([&](std::uint64_t object_id, const std::uint32_t&) {
+    shard.index.ForEach([&](std::uint64_t object_id, const IndexEntry&) {
       if (!pred || pred(object_id)) ids.push_back(object_id);
     });
   }
@@ -487,12 +504,12 @@ void SessionStore::RecordEstimate(std::uint64_t object_id,
                                   double now_s) {
   Shard& shard = *shards_[ShardOf(object_id)];
   std::lock_guard<std::mutex> lock(shard.mutex);
-  auto [slot_ref, created] = shard.index.Insert(object_id);
+  auto [entry, created] = shard.index.Insert(object_id);
   if (created) {
-    *slot_ref = shard.sessions.Alloc();
-    shard.sessions[*slot_ref].object_id = object_id;
+    entry->slot = shard.sessions.Alloc();
+    shard.sessions[entry->slot].object_id = object_id;
   }
-  SessionRec& session = shard.sessions[*slot_ref];
+  SessionRec& session = shard.sessions[entry->slot];
   session.last_touch_s = now_s;
   session.lkg_x = estimate.position.x;
   session.lkg_y = estimate.position.y;
@@ -505,9 +522,9 @@ common::Result<LastKnownGood> SessionStore::LastGood(
     std::uint64_t object_id) const {
   const Shard& shard = *shards_[ShardOf(object_id)];
   std::lock_guard<std::mutex> lock(shard.mutex);
-  const std::uint32_t* slot = shard.index.Find(object_id);
-  if (slot == nullptr) return common::NotFound("no session for object");
-  const SessionRec& session = shard.sessions[*slot];
+  const IndexEntry* entry = shard.index.Find(object_id);
+  if (entry == nullptr) return common::NotFound("no session for object");
+  const SessionRec& session = shard.sessions[entry->slot];
   if (!session.has_lkg)
     return common::NotFound("no recorded estimate for object");
   LastKnownGood lkg;
@@ -523,9 +540,9 @@ std::shared_ptr<localization::SpSolverSession> SessionStore::SolverSession(
         make) {
   Shard& shard = *shards_[ShardOf(object_id)];
   std::lock_guard<std::mutex> lock(shard.mutex);
-  std::uint32_t* slot = shard.index.Find(object_id);
-  if (slot == nullptr) return nullptr;
-  SessionRec& session = shard.sessions[*slot];
+  const IndexEntry* entry = shard.index.Find(object_id);
+  if (entry == nullptr) return nullptr;
+  SessionRec& session = shard.sessions[entry->slot];
   if (session.solver == nullptr) session.solver = make();
   return session.solver;
 }
@@ -562,13 +579,14 @@ common::Json SessionStore::CheckpointJson(
   // are serialised per shard and then sorted by object id — equal stores
   // checkpoint to equal bytes regardless of how they were built.
   std::vector<std::pair<std::uint64_t, common::Json>> ordered;
+  std::vector<const ObsRec*> newest_first;
   for (const auto& shard_ptr : shards_) {
     const Shard& shard = *shard_ptr;
     std::lock_guard<std::mutex> lock(shard.mutex);
     shard.index.ForEach([&](std::uint64_t object_id,
-                            const std::uint32_t& slot) {
+                            const IndexEntry& entry) {
       if (owned && !owned(object_id)) return;
-      const SessionRec& session = shard.sessions[slot];
+      const SessionRec& session = shard.sessions[entry.slot];
       common::JsonObject s;
       s["object_id"] = common::Json(double(object_id));
       s["keys_ever"] = common::Json(std::size_t{session.keys_ever});
@@ -591,11 +609,16 @@ common::Json SessionStore::CheckpointJson(
         a["x"] = common::Json(anchor.x);
         a["y"] = common::Json(anchor.y);
         a["nomadic"] = common::Json(anchor.is_nomadic);
-        common::JsonArray observations;
+        // The chain runs newest-first; checkpoints list oldest-first.
+        newest_first.clear();
         for (std::uint32_t obs_index = anchor.obs_head;
              obs_index != common::kSlabNil;
-             obs_index = shard.observations[obs_index].next) {
-          const ObsRec& obs = shard.observations[obs_index];
+             obs_index = shard.observations[obs_index].next)
+          newest_first.push_back(&shard.observations[obs_index]);
+        common::JsonArray observations;
+        for (auto it = newest_first.rbegin(); it != newest_first.rend();
+             ++it) {
+          const ObsRec& obs = **it;
           common::JsonObject o;
           o["pdp"] = common::Json(obs.pdp);
           o["weight"] = common::Json(obs.weight);
@@ -735,7 +758,8 @@ common::Result<std::size_t> SessionStore::RestoreImpl(const common::Json& json,
     // clear, only a racing Upsert can have made one).
     if (shard.index.Find(session.object_id) != nullptr) continue;
     const std::uint32_t slot = shard.sessions.Alloc();
-    *shard.index.Insert(session.object_id).first = slot;
+    IndexEntry* entry = shard.index.Insert(session.object_id).first;
+    entry->slot = slot;
     // Link anchors (already key-sorted) and their observation chains.
     // Records are built directly rather than via Upsert so restore never
     // bumps ingest counters or triggers pressure eviction mid-rebuild.
@@ -747,27 +771,20 @@ common::Result<std::size_t> SessionStore::RestoreImpl(const common::Json& json,
       if (anchor.observations.empty())
         oldest_ts = -std::numeric_limits<double>::infinity();
       const std::uint32_t anchor_index = shard.anchors.Alloc();
-      {
-        AnchorRec& a = shard.anchors[anchor_index];
-        a.ap_id = static_cast<std::int32_t>(anchor.key.ap_id);
-        a.site = static_cast<std::uint32_t>(anchor.key.site_index);
-        a.x = anchor.position.x;
-        a.y = anchor.position.y;
-        a.is_nomadic = anchor.is_nomadic;
-      }
+      AnchorRec& a = shard.anchors[anchor_index];
+      a.ap_id = static_cast<std::int32_t>(anchor.key.ap_id);
+      a.site = static_cast<std::uint32_t>(anchor.key.site_index);
+      a.x = anchor.position.x;
+      a.y = anchor.position.y;
+      a.is_nomadic = anchor.is_nomadic;
+      // Checkpoints list observations oldest-first: the append order.
       for (const PdpObservation& obs : anchor.observations) {
         const std::uint32_t obs_index = shard.observations.Alloc();
         ObsRec& o = shard.observations[obs_index];
         o.pdp = obs.pdp;
         o.weight = obs.weight;
         o.timestamp_s = obs.timestamp_s;
-        AnchorRec& a = shard.anchors[anchor_index];
-        if (a.obs_tail == common::kSlabNil)
-          a.obs_head = obs_index;
-        else
-          shard.observations[a.obs_tail].next = obs_index;
-        a.obs_tail = obs_index;
-        a.newest_ts = std::max(a.newest_ts, obs.timestamp_s);
+        AppendObservation(a, obs_index, o);
         oldest_ts = std::min(oldest_ts, obs.timestamp_s);
       }
       if (prev_anchor == common::kSlabNil)
@@ -780,7 +797,7 @@ common::Result<std::size_t> SessionStore::RestoreImpl(const common::Json& json,
     rec.object_id = session.object_id;
     rec.last_touch_s = session.last_touch_s;
     rec.keys_ever = static_cast<std::uint32_t>(session.keys_ever);
-    rec.anchor_head = anchor_head;
+    SetAnchorHead(shard, rec, entry, anchor_head);
     rec.oldest_ts = oldest_ts;
     if (session.has_lkg) {
       rec.lkg_x = session.lkg.position.x;

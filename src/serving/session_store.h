@@ -11,12 +11,17 @@
 // Storage is built for millions of concurrent sessions (bytes/session is
 // a first-class, benchmarked number — see DESIGN.md "Serving at scale"):
 //
-//   * object id -> session is an open-addressing flat hash map
-//     (common/flat_hash_map.h), not a node-based tree;
+//   * object id -> (session slot, anchor-chain head) is an open-addressing
+//     flat hash map (common/flat_hash_map.h), not a node-based tree, so an
+//     Upsert reaches the anchors straight from the index entry and the
+//     session record's stores overlap the anchor load;
 //   * sessions, anchors (the constraint set), and PDP observations (the
 //     judgement history) live in per-shard slab arenas of fixed-width,
 //     index-linked records (common/slab.h) — a uint32 "next" instead of
 //     pointers, freelist reuse instead of per-node malloc;
+//   * each anchor links its observations newest-first and keeps running
+//     sums of pdp·weight and weight, so an Upsert writes only the new
+//     observation and a Snapshot is O(anchors), not O(history);
 //   * each shard can carry a live-byte budget: when an ingest pushes the
 //     shard past it, least-recently-touched sessions are evicted under
 //     pressure (`serving.evictions.pressure`), and `serving.shard.bytes`
@@ -232,26 +237,39 @@ class SessionStore {
     double pdp = 0.0;
     double weight = 0.0;
     double timestamp_s = 0.0;
+    /// The observation appended before this one (the chain runs
+    /// newest-first, so appending writes no older record).
     std::uint32_t next = common::kSlabNil;
   };
   /// One constraint source, fixed width, index-linked into its session's
-  /// key-sorted chain.
+  /// key-sorted chain.  64 B, the size of one cache line; the fields the
+  /// chain walk reads come first.
   struct AnchorRec {
-    double x = 0.0;
-    double y = 0.0;
     std::int32_t ap_id = 0;
     std::uint32_t site = 0;
     std::uint32_t next = common::kSlabNil;
+    /// Newest observation of the chain.
     std::uint32_t obs_head = common::kSlabNil;
-    std::uint32_t obs_tail = common::kSlabNil;
+    double x = 0.0;
+    double y = 0.0;
+    /// Sums of pdp·weight and weight over the chain, added in append
+    /// order (oldest first) from 0.0: the same fold a walk of the chain
+    /// oldest-first computes, so their quotient is that walk's mean bit
+    /// for bit.  A prune that drops any observation re-adds the survivors
+    /// oldest-first.
+    double pdp_weight_sum = 0.0;
+    double weight_sum = 0.0;
     /// Max timestamp ever appended.  For a live anchor this equals the
     /// newest surviving observation (expiry can only strip the max after
     /// everything older has expired too, which frees the whole anchor),
     /// so "is this key fully expired?" is one comparison, not a chain
     /// walk — Upsert's reuse-vs-create decision stays O(1).
     double newest_ts = std::numeric_limits<double>::lowest();
+    /// Observations in the chain; a single one passes its PDP through.
+    std::uint32_t obs_count = 0;
     bool is_nomadic = false;
   };
+  static_assert(sizeof(AnchorRec) == 64, "AnchorRec must stay 64 B");
   struct SessionRec {
     std::uint64_t object_id = 0;
     double last_touch_s = 0.0;
@@ -262,15 +280,25 @@ class SessionStore {
     /// still be dropped).
     double oldest_ts = std::numeric_limits<double>::infinity();
     double lkg_x = 0.0, lkg_y = 0.0, lkg_confidence = 0.0, lkg_t = 0.0;
+    /// Head of the key-sorted anchor chain, mirrored in the session's
+    /// IndexEntry; only SetAnchorHead writes either.  Kept here so the
+    /// sweep's per-slot emptiness check needs no index probe.
     std::uint32_t anchor_head = common::kSlabNil;
     std::uint32_t keys_ever = 0;
     bool has_lkg = false;
     /// Warm SP solver state for streaming queries (never checkpointed).
     std::shared_ptr<localization::SpSolverSession> solver;
   };
+  /// What the shard index maps an object id to.
+  struct IndexEntry {
+    std::uint32_t slot = common::kSlabNil;
+    /// Mirror of SessionRec::anchor_head: Upsert starts its anchor walk
+    /// here without loading the session record first.
+    std::uint32_t anchor_head = common::kSlabNil;
+  };
   struct Shard {
     mutable std::mutex mutex;
-    common::FlatHashMap<std::uint64_t, std::uint32_t> index;
+    common::FlatHashMap<std::uint64_t, IndexEntry> index;
     common::Slab<SessionRec> sessions;
     common::Slab<AnchorRec> anchors;
     common::Slab<ObsRec> observations;
@@ -285,17 +313,27 @@ class SessionStore {
   std::size_t ShardLiveBytes(const Shard& shard) const noexcept;
   std::size_t ShardResidentBytes(const Shard& shard) const noexcept;
 
+  /// The one writer of a session's anchor-chain head: sets
+  /// SessionRec::anchor_head and its IndexEntry mirror.  `entry` may be
+  /// null, and is then looked up.  Caller holds the shard mutex.
+  static void SetAnchorHead(Shard& shard, SessionRec& session,
+                            IndexEntry* entry, std::uint32_t head);
+  /// Links observation `index` as the anchor's newest and adds it to the
+  /// running sums.
+  static void AppendObservation(AnchorRec& anchor, std::uint32_t index,
+                                ObsRec& obs);
   /// Drops expired observations / empty anchors; returns #observations
   /// evicted.  Caller holds the shard mutex.  Returns 0 without touching
   /// the chains when `now_s - oldest_ts <= anchor_ttl_s` (and oldest_ts
   /// is not -inf): no observation is older than the bound and rounded
   /// subtraction is monotone, so nothing can have expired.  That keeps
   /// the per-query sweep and every snapshot from walking histories where
-  /// nothing ages out.
+  /// nothing ages out.  A walk that drops the head anchor refreshes the
+  /// index mirror with one lookup.
   std::size_t PruneSession(Shard& shard, SessionRec& session,
                            double now_s) const;
-  /// Frees the session and everything it links (caller holds the mutex
-  /// and must erase the index entry itself when needed).
+  /// Frees the session's anchors and observations (caller holds the
+  /// mutex, then frees the session record and erases its index entry).
   void FreeSessionRecords(Shard& shard, SessionRec& session) const;
   /// Evicts least-recently-touched sessions (sampled) until the shard is
   /// back under its byte budget.  `keep` is never evicted (it is the

@@ -136,5 +136,21 @@ TEST(FlatHashMap, SlabAllocFreeReuse) {
   EXPECT_EQ(slab.capacity(), 2u);
 }
 
+
+TEST(FlatHashMap, SlabReserveCoversEveryPerSlotArray) {
+  // Reserve pre-sizes the records, the live bytes and the freelist chain,
+  // and CapacityBytes counts all three.
+  struct Record {
+    double a = 0.0, b = 0.0;
+  };
+  constexpr std::size_t kSlots = 1000;
+  Slab<Record> slab;
+  slab.Reserve(kSlots);
+  const std::size_t bytes = slab.CapacityBytes();
+  for (std::size_t i = 0; i < kSlots; ++i) slab.Alloc();
+  EXPECT_EQ(slab.CapacityBytes(), bytes) << "Reserve(n) should pre-size";
+  EXPECT_GE(bytes, kSlots * (sizeof(Record) + 5));
+}
+
 }  // namespace
 }  // namespace nomloc::common

@@ -1,12 +1,15 @@
 #include "serving/session_store.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/metrics.h"
 #include "core/nomloc.h"
 #include "geometry/polygon.h"
 #include "serving/clock.h"
@@ -588,6 +591,195 @@ TEST(SessionStore, RestoreRejectsCorruptCheckpointAndKeepsStore) {
   EXPECT_EQ(restore.status().code(), common::StatusCode::kDataCorruption);
   // The failed restore left the existing sessions untouched.
   EXPECT_TRUE(store.Snapshot(1, 1.0).ok());
+}
+
+// --- running sums and the index's anchor head ---------------------------
+
+/// The anchor PDP as a walk of its observations oldest-first computes it
+/// (a single report passes through).
+double WalkedPdp(const common::JsonArray& observations) {
+  if (observations.size() == 1)
+    return observations[0].AsObject().at("pdp").AsDouble();
+  double weighted = 0.0, total = 0.0;
+  for (const common::Json& o : observations) {
+    const common::JsonObject& obs = o.AsObject();
+    weighted += obs.at("pdp").AsDouble() * obs.at("weight").AsDouble();
+    total += obs.at("weight").AsDouble();
+  }
+  return total > 0.0 ? weighted / total : 0.0;
+}
+
+std::uint64_t Bits(double value) { return std::bit_cast<std::uint64_t>(value); }
+
+/// Snapshots the object and checks it against its checkpoint, which lists
+/// each anchor's observations oldest-first: every PDP must carry the bits
+/// of the walk over that list.  Snapshot walks the anchors from the index
+/// entry and the checkpoint from the session record, so a stale index head
+/// shows as a mismatch.  Returns the checkpoint's anchor keys.
+std::vector<AnchorKey> ExpectSnapshotMatchesWalk(SessionStore& store,
+                                                 std::uint64_t object_id,
+                                                 double now_s) {
+  auto snapshot = store.Snapshot(object_id, now_s);
+  const common::Json checkpoint = store.CheckpointJson(
+      [object_id](std::uint64_t id) { return id == object_id; });
+  const common::JsonArray& sessions =
+      checkpoint.AsObject().at("sessions").AsArray();
+  std::vector<AnchorKey> keys;
+  if (!snapshot.ok()) {
+    EXPECT_TRUE(sessions.empty()) << "object " << object_id;
+    return keys;
+  }
+  if (sessions.size() != 1) {
+    ADD_FAILURE() << "object " << object_id << " missing from checkpoint";
+    return keys;
+  }
+  const common::JsonArray& anchors =
+      sessions[0].AsObject().at("anchors").AsArray();
+  EXPECT_EQ(snapshot->anchors.size(), anchors.size()) << "object " << object_id;
+  EXPECT_EQ(snapshot->live_keys, snapshot->anchors.size());
+  for (std::size_t i = 0; i < anchors.size(); ++i) {
+    const common::JsonObject& a = anchors[i].AsObject();
+    keys.push_back({int(a.at("ap_id").AsDouble()),
+                    std::size_t(a.at("site_index").AsDouble())});
+    if (i >= snapshot->anchors.size()) continue;
+    const localization::Anchor& got = snapshot->anchors[i];
+    const common::JsonArray& observations = a.at("observations").AsArray();
+    EXPECT_FALSE(observations.empty());
+    EXPECT_EQ(Bits(got.pdp), Bits(WalkedPdp(observations)))
+        << "object " << object_id << " anchor " << i << " of "
+        << observations.size() << " observations";
+    EXPECT_EQ(Bits(got.position.x), Bits(a.at("x").AsDouble()));
+    EXPECT_EQ(Bits(got.position.y), Bits(a.at("y").AsDouble()));
+    EXPECT_EQ(got.is_nomadic_site, a.at("nomadic").AsBool());
+  }
+  return keys;
+}
+
+/// The head anchor of a fresh session expires in a sweep (SweepStep when
+/// `step`, else SweepShard) while a later key survives with one of its
+/// three out-of-order reports expired; then keys that sort before and
+/// after the survivor arrive.
+void ExpectHeadExpiryInSweepRelinks(SessionStore& store, double ttl_s,
+                                    std::uint64_t object_id, double& now_s,
+                                    bool step) {
+  const double edge = now_s - ttl_s;  // survives now, expires next tick
+  store.Upsert(object_id, {1, 0}, {1.0, 0.0}, false, Obs(0.5, 2.0, edge),
+               now_s);
+  store.Upsert(object_id, {1, 0}, {1.0, 0.0}, false, Obs(0.75, 1.0, edge),
+               now_s);
+  store.Upsert(object_id, {2, 1}, {2.0, 1.0}, true,
+               Obs(0.25, 3.0, now_s - 0.5), now_s);
+  store.Upsert(object_id, {2, 1}, {2.0, 1.0}, true, Obs(0.375, 1.0, edge),
+               now_s);
+  store.Upsert(object_id, {2, 1}, {2.0, 1.5}, true,
+               Obs(0.625, 2.0, now_s - 1.0), now_s);
+  EXPECT_EQ(ExpectSnapshotMatchesWalk(store, object_id, now_s).size(), 2u);
+
+  now_s += 0.25;
+  const std::size_t shard = store.ShardOf(object_id);
+  if (step)
+    store.SweepStep(shard, now_s, std::size_t{1} << 20);
+  else
+    store.SweepShard(shard, now_s);
+  store.Upsert(object_id, {0, 2}, {0.0, 2.0}, true, Obs(0.125, 1.0, now_s),
+               now_s);
+  store.Upsert(object_id, {3, 0}, {3.0, 0.0}, false, Obs(0.875, 4.0, now_s),
+               now_s);
+  const std::vector<AnchorKey> keys =
+      ExpectSnapshotMatchesWalk(store, object_id, now_s);
+  const std::vector<AnchorKey> want = {{0, 2}, {2, 1}, {3, 0}};
+  EXPECT_EQ(keys, want) << (step ? "SweepStep" : "SweepShard");
+  auto snapshot = store.Snapshot(object_id, now_s);
+  ASSERT_TRUE(snapshot.ok());
+  EXPECT_EQ(snapshot->keys_ever, 4u);
+}
+
+/// Drives a seeded op stream like OpStreamDigest's, checking every
+/// snapshot against the walk of its checkpoint.  Mid-stream the store is
+/// restored from its own checkpoint, and later replaced by a fresh store
+/// that already holds a few sessions and merges the checkpoint.
+void RunningSumStream(std::uint64_t seed, std::size_t shard_bytes_budget) {
+  SessionStoreConfig config;
+  config.shards = 4;
+  config.anchor_ttl_s = 8.0;
+  config.session_idle_ttl_s = 40.0;
+  config.shard_bytes_budget = shard_bytes_budget;
+  auto store = std::make_unique<SessionStore>(config);
+  std::uint64_t rng = seed;
+  const auto draw = [&](std::uint64_t n) { return SplitMix(rng) % n; };
+  double now_s = 0.0;
+  constexpr std::uint64_t kObjects = 24;
+  const auto check_all = [&] {
+    for (std::uint64_t id = 0; id < kObjects; ++id)
+      ExpectSnapshotMatchesWalk(*store, id, now_s);
+  };
+
+  for (int op = 0; op < 4000; ++op) {
+    const std::uint64_t tick = draw(100);
+    if (tick < 2)
+      now_s -= 20.0;  // backward clock jump
+    else if (tick < 60)
+      now_s += 0.25;
+    const std::uint64_t object_id = draw(kObjects);
+    const std::uint64_t kind = draw(100);
+    if (kind < 60) {
+      double t_s = now_s - 0.25 * double(draw(12));  // out of order
+      const std::uint64_t edge = draw(20);
+      if (edge == 0) t_s = now_s - config.anchor_ttl_s;  // exactly at the TTL
+      if (edge == 1) t_s = now_s - 3.0 * config.anchor_ttl_s;  // stale
+      const AnchorKey key{int(draw(4)), std::size_t(draw(3))};
+      // PDPs with rounding in every product and sum, so the bits of a
+      // mean depend on the order its terms are added in.
+      store->Upsert(object_id, key, {double(draw(10)), 0.5 * double(draw(20))},
+                    key.site_index != 0,
+                    Obs(double(1 + draw(997)) / 7.0, double(1 + draw(4)), t_s),
+                    now_s);
+    } else if (kind < 85) {
+      ExpectSnapshotMatchesWalk(*store, object_id, now_s);
+    } else if (kind < 93) {
+      store->SweepStep(std::size_t(draw(config.shards)), now_s,
+                       std::size_t(1 + draw(8)));
+    } else {
+      store->SweepShard(std::size_t(draw(config.shards)), now_s);
+    }
+
+    if (op == 1000 || op == 2500)
+      ExpectHeadExpiryInSweepRelinks(*store, config.anchor_ttl_s,
+                                     1000 + std::uint64_t(op), now_s,
+                                     /*step=*/op == 1000);
+    if (op == 1500) {
+      auto restored = store->RestoreFromJson(store->CheckpointJson());
+      ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+      check_all();
+    }
+    if (op == 3000) {
+      auto merged = std::make_unique<SessionStore>(config);
+      for (std::uint64_t id = 0; id < kObjects; id += 5)
+        merged->Upsert(id, {int(id % 4), 1}, {1.0, 1.0}, true,
+                       Obs(0.5, 1.0, now_s), now_s);
+      auto added = merged->MergeFromJson(store->CheckpointJson());
+      ASSERT_TRUE(added.ok()) << added.status().ToString();
+      store = std::move(merged);
+      check_all();
+    }
+  }
+  check_all();
+}
+
+// The running sums are the oldest-first walk of each anchor's chain, bit
+// for bit, through out-of-order reports, TTL-edge and whole-key expiry,
+// head-anchor expiry in both sweeps, restore and merge; with a byte budget
+// pressure eviction runs too.
+TEST(SessionStore, RunningSumsMatchOldestFirstWalk) {
+  auto& pressure = common::MetricRegistry::Global().Counter(
+      "serving.evictions.pressure");
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    RunningSumStream(seed, /*shard_bytes_budget=*/0);
+    const auto pressure_before = pressure.Value();
+    RunningSumStream(seed, /*shard_bytes_budget=*/2048);
+    EXPECT_GT(pressure.Value(), pressure_before);
+  }
 }
 
 }  // namespace

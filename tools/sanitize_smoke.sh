@@ -27,23 +27,14 @@ flags_for() {
   esac
 }
 
-# Warnings fail the asan and tsan builds.  The ubsan build stays without
-# -Werror: GCC 12 reports a -Wmaybe-uninitialized false positive in
-# Result<int>'s variant there (tests/common_status_test.cc).
-werror_for() {
-  case "$1" in
-    ubsan) echo "OFF" ;;
-    *) echo "ON" ;;
-  esac
-}
-
+# Warnings fail every sanitizer build.
 for san in $sanitizers; do
   sanitize=$(flags_for "$san")
   build="$repo/build-$san"
   echo "== $san: configuring $build (NOMLOC_SANITIZE=$sanitize)"
   cmake -S "$repo" -B "$build" -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DNOMLOC_SANITIZE="$sanitize" -DNOMLOC_BUILD_BENCH=OFF \
-        -DNOMLOC_BUILD_EXAMPLES=OFF -DNOMLOC_WERROR="$(werror_for "$san")" \
+        -DNOMLOC_BUILD_EXAMPLES=OFF -DNOMLOC_WERROR=ON \
         >/dev/null
   echo "== $san: building"
   cmake --build "$build" -j "$(nproc)" >/dev/null
