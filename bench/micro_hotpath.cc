@@ -1,4 +1,4 @@
-// Micro-benchmark: four hot-path comparisons that perfbench/ only sees
+// Micro-benchmark: five hot-path comparisons that perfbench/ only sees
 // end to end.
 //
 //   BM_<kernel>/dispatched:0|1 — one SIMD kernel forced to the scalar
@@ -11,11 +11,16 @@
 //   BM_Resolve/session:0|1 — one object's anchors with one PDP drifting
 //       per iteration, solved by stateless Locate (0) and through a
 //       warm solver session (1).
+//   BM_StoreUpsert/clock:0|1 — one observation upserted into a random
+//       one of 262,144 sessions x 3 anchors, with no clock read (0) and
+//       with one steady_clock::now() before each upsert (1): the price
+//       of a wall-clock read on the store path.
 //
 // Every benchmark restores the SIMD target and trace geometry it found.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <complex>
 #include <cstdlib>
@@ -32,6 +37,7 @@
 #include "dsp/cir.h"
 #include "dsp/fft.h"
 #include "eval/scenario.h"
+#include "serving/session_store.h"
 #include "simd/dispatch.h"
 #include "simd/kernels.h"
 #include "world/worldgen.h"
@@ -319,6 +325,41 @@ BENCHMARK(BM_Resolve)
     ->Arg(0)
     ->Arg(1)
     ->Unit(benchmark::kMicrosecond);
+
+// serve_1m's store shape (64 shards, 3 anchors per session, nothing
+// expires) over far more state than L3 holds.  The store is filled before
+// the timed loop and reserves twice the observations it will hold (the
+// shard hash spreads them unevenly), so no slab grows inside the loop.
+void BM_StoreUpsert(benchmark::State& state) {
+  constexpr std::uint64_t kSessions = std::uint64_t{1} << 18;
+  constexpr std::uint64_t kAnchors = 3;
+  serving::SessionStoreConfig config;
+  config.shards = 64;
+  config.anchor_ttl_s = 1e12;
+  config.session_idle_ttl_s = 1e12;
+  config.reserve_sessions = kSessions;
+  config.reserve_anchors = kSessions * kAnchors;
+  config.reserve_observations =
+      2 * (kSessions * kAnchors + std::size_t(state.max_iterations));
+  serving::SessionStore store(config);
+  serving::PdpObservation obs;
+  obs.pdp = 0.5;
+  for (std::uint64_t id = 0; id < kSessions; ++id)
+    for (std::uint64_t ap = 0; ap < kAnchors; ++ap)
+      store.Upsert(id, {int(ap), 0}, {double(ap), 0.0}, false, obs, 0.0);
+
+  const bool read_clock = state.range(0) == 1;
+  common::Rng rng(0x5e55);
+  for (auto _ : state) {
+    const std::uint64_t draw = rng();
+    if (read_clock) benchmark::DoNotOptimize(std::chrono::steady_clock::now());
+    const int ap = int((draw >> 32) % kAnchors);
+    benchmark::DoNotOptimize(store.Upsert(draw % kSessions, {ap, 0},
+                                          {double(ap), 0.0}, false, obs, 0.0));
+  }
+  state.SetItemsProcessed(std::int64_t(state.iterations()));
+}
+BENCHMARK(BM_StoreUpsert)->ArgName("clock")->Arg(0)->Arg(1);
 
 }  // namespace
 

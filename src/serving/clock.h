@@ -5,7 +5,12 @@
 // (by the test, or by the replay driver as it walks the packet stream),
 // while production deployments plug in SteadyClock for wall time.  No
 // serving component ever reads the wall clock for semantic decisions —
-// wall time is used only for latency *metrics*.
+// wall time is read only for a query's metrics (queue wait, solve span,
+// latency), never for an observation.  steady_clock reads the TSC in
+// order (rdtscp, or lfence; rdtsc), waiting for every earlier load, so
+// one read per observation on the worker would wait out the previous
+// upsert's cache misses.  For the same reason a packet reads the service
+// clock once at admission and once when served.
 #pragma once
 
 #include <atomic>

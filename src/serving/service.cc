@@ -110,7 +110,7 @@ common::Result<void> ServingConfig::Validate() const {
 struct StreamingLocalizer::Job {
   IngestPacket packet;
   std::uint64_t seq = 0;
-  std::chrono::steady_clock::time_point enqueue_wall;
+  std::chrono::steady_clock::time_point enqueue_wall;  ///< Queries only.
   std::size_t retries_left = 0;
   std::size_t retries_used = 0;
 };
@@ -189,23 +189,24 @@ AdmitStatus StreamingLocalizer::Ingest(const IngestPacket& packet) {
   if (shutdown_.load(std::memory_order_acquire))
     return AdmitStatus::kRejectedShutdown;
 
+  // One read serves the breaker and the deadline (clock.h says why).
+  const double now_s = clock_->NowSeconds();
   if (packet.kind == PacketKind::kObservation) {
     // Anchor health: an open breaker short-circuits the AP entirely; a
     // half-open one admits exactly one probe, judged by the corruption
     // screen right below.
-    const double breaker_now_s = clock_->NowSeconds();
-    if (!breakers_.Allow(packet.ap_id, breaker_now_s)) {
+    if (!breakers_.Allow(packet.ap_id, now_s)) {
       breaker_rejected.Increment();
       return AdmitStatus::kRejectedBreakerOpen;
     }
     if (IsCorruptObservation(packet)) {
       corrupt_counter.Increment();
-      breakers_.RecordFailure(packet.ap_id, breaker_now_s);
+      breakers_.RecordFailure(packet.ap_id, now_s);
       return AdmitStatus::kRejectedCorrupt;
     }
-    breakers_.RecordSuccess(packet.ap_id, breaker_now_s);
+    breakers_.RecordSuccess(packet.ap_id, now_s);
   }
-  if (clock_->NowSeconds() > packet.deadline_s) {
+  if (now_s > packet.deadline_s) {
     past_deadline.Increment();
     return AdmitStatus::kRejectedDeadline;
   }
@@ -223,9 +224,10 @@ AdmitStatus StreamingLocalizer::Ingest(const IngestPacket& packet) {
     Job& job = queue.jobs.emplace_back();
     job.packet = packet;
     job.seq = next_seq_.fetch_add(1, std::memory_order_relaxed);
-    job.enqueue_wall = std::chrono::steady_clock::now();
-    if (packet.kind == PacketKind::kQuery)
+    if (packet.kind == PacketKind::kQuery) {
+      job.enqueue_wall = std::chrono::steady_clock::now();
       job.retries_left = config_.query_retry_budget;
+    }
     depth_hist.Record(static_cast<double>(depth + 1));
     wake = std::exchange(queue.parked, false);
   }
@@ -344,15 +346,6 @@ void StreamingLocalizer::Serve(const Job& job) {
       registry.Counter("serving.fallback.last_known_good");
 
   const IngestPacket& packet = job.packet;
-  // Latency runs from the *scheduled* send time when the producer stamped
-  // one (open-loop load), so sender stalls count against the percentiles
-  // instead of silently vanishing (coordinated omission).
-  const auto latency_origin =
-      packet.scheduled_wall.time_since_epoch().count() != 0
-          ? packet.scheduled_wall
-          : job.enqueue_wall;
-  const double queue_wait_s = WallSecondsSince(job.enqueue_wall);
-  wait_timer.RecordSeconds(queue_wait_s);
   const double now_s = clock_->NowSeconds();
   const bool deadline_missed = now_s > packet.deadline_s;
 
@@ -371,6 +364,18 @@ void StreamingLocalizer::Serve(const Job& job) {
                   packet.reported_position, packet.is_nomadic, obs, now_s);
     return;
   }
+
+  // Wall time is read for queries only (clock.h says why), so
+  // serving.queue.wait samples query jobs only.
+  const double queue_wait_s = WallSecondsSince(job.enqueue_wall);
+  wait_timer.RecordSeconds(queue_wait_s);
+  // Latency runs from the *scheduled* send time when the producer stamped
+  // one (open-loop load), so sender stalls count against the percentiles
+  // instead of silently vanishing (coordinated omission).
+  const auto latency_origin =
+      packet.scheduled_wall.time_since_epoch().count() != 0
+          ? packet.scheduled_wall
+          : job.enqueue_wall;
 
   ServeResponse response;
   response.object_id = packet.object_id;

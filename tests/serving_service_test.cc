@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <cstring>
 #include <limits>
@@ -76,6 +77,19 @@ class GatedClock final : public Clock {
   mutable std::condition_variable changed_;
   mutable bool entered_ = false;
   bool released_ = false;
+};
+
+/// Reads 0 s and counts the reads from every thread.
+class CountingClock final : public Clock {
+ public:
+  double NowSeconds() const override {
+    reads_.fetch_add(1, std::memory_order_relaxed);
+    return 0.0;
+  }
+  std::size_t Reads() const noexcept { return reads_.load(); }
+
+ private:
+  mutable std::atomic<std::size_t> reads_{0};
 };
 
 class ServiceTest : public ::testing::Test {
@@ -193,6 +207,41 @@ TEST_F(ServiceTest, CapacityCountsJobsNotYetStarted) {
   clock.Release();
   service.Flush();
   EXPECT_EQ(service.Store().Memory().observations, 4u);
+}
+
+// A packet reads the service clock once at admission (breaker and
+// deadline alike) and once when served, and only a query is timed by
+// `serving.queue.wait`: an observation takes no wall-clock read.
+TEST_F(ServiceTest, PacketsReadTheServiceClockTwiceAndOnlyQueriesAreTimed) {
+  CountingClock clock;
+  ServingConfig config;
+  config.workers = 1;
+  auto created = StreamingLocalizer::Create(*engine_, config, &clock);
+  ASSERT_TRUE(created.ok());
+  StreamingLocalizer& service = **created;
+  const auto& wait_timer =
+      common::MetricRegistry::Global().Timer("serving.queue.wait");
+  const std::uint64_t waits_before = wait_timer.Count();
+
+  constexpr geometry::Vec2 kSites[] = {{1.0, 1.0}, {9.0, 1.0}, {5.0, 9.0}};
+  std::size_t observations = 0;
+  std::size_t queries = 0;
+  for (std::uint64_t id = 0; id < 4; ++id) {
+    for (int ap = 0; ap < 3; ++ap, ++observations)
+      ASSERT_EQ(service.Ingest(Observation(id, ap, kSites[ap],
+                                           0.5 / double(ap + 1), 0.0)),
+                AdmitStatus::kAccepted);
+    ASSERT_EQ(service.Ingest(Query(id, 0.0)), AdmitStatus::kAccepted);
+    ++queries;
+  }
+  service.Flush();
+
+  const auto responses = service.TakeResponses();
+  ASSERT_EQ(responses.size(), queries);
+  for (const ServeResponse& response : responses)
+    EXPECT_EQ(response.status, ServeStatus::kOk);
+  EXPECT_EQ(clock.Reads(), 2 * (observations + queries));
+  EXPECT_EQ(wait_timer.Count() - waits_before, queries);
 }
 
 // Four producers race the workers' queue hand-off with a queue small
